@@ -3,7 +3,7 @@ simple-homotopy certificates, Moore constructions, and exact chain-level
 verification backed by integral Smith normal forms."""
 
 from .delta import (DeltaSet, DeltaMorphism, SubDeltaSet, EMPTY,
-                    standard, validate, is_valid, skeleton, sub_complex,
+                    standard, validate, is_valid, skeleton,
                     pushout, disjoint_union, cycle_graph,
                     from_simplicial_complex, identity_morphism,
                     inclusion_morphism)
@@ -21,13 +21,14 @@ from .moves import (Move, ExpansionCertificate, BudgetExhausted,
                     is_elementary_expansion, expansion_via_horn_pushout,
                     find_collapse_sequence, cone, mapping_cylinder,
                     fill_horns, cylinder_inclusions)
-from .homology import (ChainComplex, HomologyGroup, chain_complex, smith,
-                       homology, homology_of, homology_table, is_acyclic,
+from .exact import smith
+from .homology import (ChainComplex, HomologyGroup, chain_complex, homology,
+                       homology_of, homology_table, is_acyclic,
                        homology_with_generators, induced_map,
                        integral_map_is_iso, is_homology_iso, bockstein,
                        fp_matrix_is_iso, certify_moore, fp_homology_basis,
                        chain_map_matrices, mapping_cone_complex)
-from .dgred import (FreeComplex, GradedMap, ExteriorModule, ModnReduction,
+from .dgred import (GradedMap, ExteriorModule, ModnReduction,
                     OrderTower, complex_from_matrices, point_complex,
                     zero_map, identity_map, scalar_map, differential_map,
                     hom_differential, is_chain_map, shift, cone_dg,

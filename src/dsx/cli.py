@@ -19,8 +19,7 @@ from .based import BasedDeltaSet
 from .delta import validate as validate_delta
 from .based import validate_based
 from .dgred import order_tower, reduce_mod_n, uv_identities
-from .homology import (bockstein, certify_moore, homology_of, homology_table,
-                       homology, is_homology_iso, fp_matrix_is_iso)
+from .homology import bockstein, certify_moore, homology_of, homology_table
 from .moore import MooreSystem
 from .moves import BudgetExhausted, cone, find_collapse_sequence, \
     fill_horns, mapping_cylinder
@@ -45,9 +44,6 @@ def build_parser():
                     help="also write the structured report to PATH")
     ap.add_argument("--seed", type=int, default=0,
                     help="seed for randomized property-test sampling")
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="bound on internal parallelism (default 1; the "
-                         "current engine is sequential regardless)")
     sub = ap.add_subparsers(dest="command")
 
     p = sub.add_parser("validate", help="check a Delta-set file")
@@ -243,7 +239,7 @@ def _cmd_certify(ns, report):
     report["tables"]["verdict"] = verdict
     if ns.require_pass:
         return _check(report, "certified", verdict == "CERTIFIED",
-                      verdict=verdict)
+                      result=verdict)
     report["checks"].append({"name": "certify", "verdict": "PASS",
                              "result": verdict})
     return True

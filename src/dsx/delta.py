@@ -270,10 +270,6 @@ def skeleton(K, m):
     return SubDeltaSet(K, members)
 
 
-def sub_complex(K, members):
-    return SubDeltaSet(K, members)
-
-
 # ---------------------------------------------------------------------------
 # morphisms
 # ---------------------------------------------------------------------------

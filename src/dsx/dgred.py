@@ -24,8 +24,6 @@ from random import Random
 from . import exact
 from .homology import ChainComplex
 
-FreeComplex = ChainComplex
-
 
 def complex_from_matrices(lo, hi, ranks, mats, check=True):
     """Build a ChainComplex from dense boundary matrices d[k] : C_k -> C_{k-1}."""

@@ -6,11 +6,13 @@ computational backbone for every homology verdict in the package:
 
 * dense Smith normal form with recorded unimodular transforms and their
   inverses (self-verifying),
-* sparse integer elimination producing ranks and invariant factors without
-  transforms (for medium chain complexes),
-* an integral Morse-style reduction that cancels unit entries of boundary
-  matrices, shrinking a chain complex to a homotopy-equivalent one,
-* dense mod-p kernels/ranks for field-coefficient homology.
+* one sparse unit-elimination loop (`_cancel_units`) over Z or F_p.  Over Z
+  it cancels +-1 entries; over F_p it cancels every nonzero entry.  Three
+  entry points go through it: `morse_reduce` shrinks a whole chain complex
+  to a homotopy-equivalent one, `sparse_rank_and_factors` hands the
+  unit-free residue of one matrix to dense Smith for its invariant
+  factors, and `sparse_rank_mod_p` gives the rank over F_p,
+* dense mod-p kernels/ranks for field-coefficient homology bases.
 """
 
 from __future__ import annotations
@@ -365,7 +367,7 @@ def kernel_basis(A):
 
 
 # ---------------------------------------------------------------------------
-# sparse integer / mod-p elimination (no transforms)
+# sparse matrices
 # ---------------------------------------------------------------------------
 
 class SparseMat:
@@ -411,14 +413,17 @@ class SparseMat:
                     if not col:
                         del self.cols[c]
 
-    def col_axpy(self, j, c, q):
-        """col_j += q * col_c (updates row index)."""
+    def col_axpy(self, j, c, q, p=None):
+        """col_j += q * col_c, reduced mod p when p is given (updates the
+        row index)."""
         if q == 0:
             return
         colc = self.cols.get(c, {})
         colj = self.cols.setdefault(j, {})
         for r, v in colc.items():
             nv = colj.get(r, 0) + q * v
+            if p is not None:
+                nv %= p
             if nv:
                 colj[r] = nv
                 self.rows.setdefault(r, set()).add(j)
@@ -431,6 +436,21 @@ class SparseMat:
                         del self.rows[r]
         if not colj:
             self.cols.pop(j, None)
+
+    def reduce_mod(self, p):
+        """Reduce every entry mod p, dropping the ones that vanish."""
+        for c in list(self.cols):
+            col = self.cols[c]
+            for r in [r for r, v in col.items() if v % p == 0]:
+                del col[r]
+                s = self.rows[r]
+                s.discard(c)
+                if not s:
+                    del self.rows[r]
+            for r in col:
+                col[r] %= p
+            if not col:
+                del self.cols[c]
 
 
 def _dense_from_sparse(M):
@@ -446,174 +466,55 @@ def _dense_from_sparse(M):
     return A
 
 
-def sparse_rank_and_factors(M):
-    """(rank, invariant factors) of a SparseMat over Z.  Destroys M.
-
-    Unit (+-1) pivots are eliminated sparsely with Markowitz ordering; the
-    unit-free residue is handed to dense Smith reduction.
-    """
-    heap = []
-    for c, col in M.cols.items():
-        for r, v in col.items():
-            if v == 1 or v == -1:
-                cost = (len(M.rows[r]) - 1) * (len(col) - 1)
-                heap.append((cost, r, c))
-    heapq.heapify(heap)
-    rank = 0
-    while heap:
-        cost, r, c = heapq.heappop(heap)
-        col = M.cols.get(c)
-        if col is None or r not in col:
-            continue
-        v = col[r]
-        if v != 1 and v != -1:
-            continue
-        cur = (len(M.rows[r]) - 1) * (len(col) - 1)
-        if cur > cost:
-            heapq.heappush(heap, (cur, r, c))
-            continue
-        # eliminate: clear row r from all other columns, drop row/col
-        for j in list(M.rows[r]):
-            if j == c:
-                continue
-            q = -M.cols[j][r] * v
-            M.col_axpy(j, c, q)
-            colj = M.cols.get(j)
-            if colj:
-                for r2, v2 in colj.items():
-                    if v2 == 1 or v2 == -1:
-                        c2 = (len(M.rows[r2]) - 1) * (len(colj) - 1)
-                        heapq.heappush(heap, (c2, r2, j))
-        M.remove_col(c)
-        M.remove_row(r)
-        rank += 1
-    if not M.cols:
-        return rank, [1] * rank
-    A = _dense_from_sparse(M)
-    S = smith(A, with_transforms=False)
-    rest = S.invariant_factors()
-    return rank + len(rest), [1] * rank + rest
-
-
-def sparse_rank_mod_p(M, p):
-    """Rank of a SparseMat over F_p.  Destroys M."""
-    for c in list(M.cols):
-        col = M.cols[c]
-        dead = []
-        for r in col:
-            col[r] %= p
-            if col[r] == 0:
-                dead.append(r)
-        for r in dead:
-            del col[r]
-            s = M.rows.get(r)
-            if s is not None:
-                s.discard(c)
-                if not s:
-                    del M.rows[r]
-        if not col:
-            del M.cols[c]
-    rank = 0
-    while M.cols:
-        # cheapest live pivot
-        best = None
-        best_key = None
-        for c, col in M.cols.items():
-            for r, v in col.items():
-                key = ((len(M.rows[r]) - 1) * (len(col) - 1), r, c)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (r, c)
-                if best_key[0] == 0:
-                    break
-            if best_key is not None and best_key[0] == 0:
-                break
-        r, c = best
-        v = M.cols[c][r]
-        vinv = pow(v, -1, p)
-        for j in list(M.rows[r]):
-            if j == c:
-                continue
-            q = (-M.cols[j][r] * vinv) % p
-            colc = M.cols[c]
-            colj = M.cols.setdefault(j, {})
-            for rr, vv in colc.items():
-                nv = (colj.get(rr, 0) + q * vv) % p
-                if nv:
-                    colj[rr] = nv
-                    M.rows.setdefault(rr, set()).add(j)
-                elif rr in colj:
-                    del colj[rr]
-                    s = M.rows.get(rr)
-                    if s is not None:
-                        s.discard(j)
-                        if not s:
-                            del M.rows[rr]
-            if not colj:
-                M.cols.pop(j, None)
-        M.remove_col(c)
-        M.remove_row(r)
-        rank += 1
-    return rank
-
-
 # ---------------------------------------------------------------------------
-# integral Morse-style reduction of a chain complex
+# unit elimination: the one cancellation loop
 # ---------------------------------------------------------------------------
 
-def morse_reduce(ranks, boundaries):
-    """Cancel +-1 entries of the boundary matrices of a complex.
+def _cancel_units(mats, p=None):
+    """Cancel unit entries of the boundary matrices `mats` (degree k ->
+    SparseMat of d_k) in place; returns the cancelled (k, row, col) pairs.
 
-    `ranks` maps degree -> number of cells, `boundaries` maps degree k to a
-    COO dict {(row, col): v} for d_k : C_k -> C_{k-1}.  Returns reduced
-    (ranks, boundaries) of a complex with identical homology (any
-    coefficients): each cancellation is a basis change followed by removal
-    of an acyclic two-cell direct summand.
+    Over Z (p None) the units are the +-1 entries; over F_p the entries
+    must already be reduced mod p and every one of them is a unit.  Pivots
+    come off a heap keyed by the Markowitz fill-in estimate
+    (row nnz - 1) * (col nnz - 1), then degree and position; stale keys are
+    re-pushed.  Cancelling the pair (col c in degree k, row r in degree
+    k-1) clears row r from the other columns of d_k and drops the row of c
+    from d_{k+1} and the column of r from d_{k-1}: a basis change followed
+    by the removal of an acyclic two-cell summand.
     """
-    mats = {}
-    for k, coo in boundaries.items():
-        m = SparseMat(ranks.get(k - 1, 0), ranks.get(k, 0))
-        for (r, c), v in coo.items():
-            if v:
-                m.cols.setdefault(c, {})[r] = v
-                m.rows.setdefault(r, set()).add(c)
-        mats[k] = m
-    alive = {k: set(range(n)) for k, n in ranks.items()}
-
     heap = []
     for k, m in mats.items():
         for c, col in m.cols.items():
             for r, v in col.items():
-                if v == 1 or v == -1:
+                if p is not None or v == 1 or v == -1:
                     cost = (len(m.rows[r]) - 1) * (len(col) - 1)
                     heap.append((cost, k, r, c))
     heapq.heapify(heap)
 
+    pairs = []
     while heap:
         cost, k, r, c = heapq.heappop(heap)
-        m = mats.get(k)
-        if m is None:
-            continue
+        m = mats[k]
         col = m.cols.get(c)
         if col is None or r not in col:
             continue
         v = col[r]
-        if v != 1 and v != -1:
+        if p is None and v != 1 and v != -1:
             continue
         cur = (len(m.rows[r]) - 1) * (len(col) - 1)
         if cur > cost:
             heapq.heappush(heap, (cur, k, r, c))
             continue
-        # cancel cell pair (c in degree k, r in degree k-1)
+        inv = v if p is None else pow(v, -1, p)
         for j in list(m.rows[r]):
             if j == c:
                 continue
-            q = -m.cols[j][r] * v
-            m.col_axpy(j, c, q)
+            m.col_axpy(j, c, -m.cols[j][r] * inv, p)
             colj = m.cols.get(j)
             if colj:
                 for r2, v2 in colj.items():
-                    if v2 == 1 or v2 == -1:
+                    if p is not None or v2 == 1 or v2 == -1:
                         c2 = (len(m.rows[r2]) - 1) * (len(colj) - 1)
                         heapq.heappush(heap, (c2, k, r2, j))
         m.remove_col(c)
@@ -624,6 +525,49 @@ def morse_reduce(ranks, boundaries):
         down = mats.get(k - 1)
         if down is not None:
             down.remove_col(r)
+        pairs.append((k, r, c))
+    return pairs
+
+
+def sparse_rank_and_factors(M):
+    """(rank, invariant factors) of a SparseMat over Z.  Destroys M.
+
+    Unit pivots are cancelled by the elimination loop; the unit-free
+    residue is handed to dense Smith reduction.
+    """
+    rank = len(_cancel_units({1: M}))
+    if not M.cols:
+        return rank, [1] * rank
+    S = smith(_dense_from_sparse(M), with_transforms=False)
+    rest = S.invariant_factors()
+    return rank + len(rest), [1] * rank + rest
+
+
+def sparse_rank_mod_p(M, p):
+    """Rank of a SparseMat over F_p.  Destroys M."""
+    M.reduce_mod(p)
+    return len(_cancel_units({1: M}, p))
+
+
+def morse_reduce(ranks, boundaries, p=None):
+    """Cancel the unit entries of the boundary matrices of a complex.
+
+    `ranks` maps degree -> number of cells, `boundaries` maps degree k to a
+    COO dict {(row, col): v} for d_k : C_k -> C_{k-1}.  Returns reduced
+    (ranks, boundaries) of a complex with identical homology.  Over Z (p
+    None) only +-1 entries are cancelled, which is a chain homotopy
+    equivalence over Z and so preserves homology with every coefficient
+    ring; over F_p (p prime) every entry mod p is cancelled and the
+    residue has zero boundaries, its ranks being the mod-p Betti numbers.
+    """
+    mats = {k: SparseMat.from_entries(ranks.get(k - 1, 0), ranks.get(k, 0),
+                                      coo)
+            for k, coo in boundaries.items()}
+    if p is not None:
+        for m in mats.values():
+            m.reduce_mod(p)
+    alive = {k: set(range(n)) for k, n in ranks.items()}
+    for k, r, c in _cancel_units(mats, p):
         alive[k].discard(c)
         alive[k - 1].discard(r)
 

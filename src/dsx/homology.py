@@ -4,12 +4,13 @@ Boundary matrices are stored sparsely (COO dicts) with arbitrary-precision
 integer entries; there is no fixed-width arithmetic anywhere on the exact
 path, so entry blow-up during Smith reduction is impossible by construction.
 
-Integral homology is computed from Smith forms of consecutive boundaries;
-for large complexes the boundaries are first shrunk by an integral
-Morse-style reduction (exact.morse_reduce) which preserves homology with
-all coefficients.  Field homology uses ranks; isomorphism verdicts for
-large chain maps go through acyclicity of the mapping cone, which needs
-ranks and invariant factors only.
+Homology takes one route for every coefficient ring: the complex is
+Morse-reduced once over Z (exact.morse_reduce, a chain homotopy
+equivalence, so homology with every coefficient ring is unchanged), and
+each residue boundary then goes to exact.sparse_rank_and_factors (Z, Q) or
+exact.sparse_rank_mod_p (F_p).  Isomorphism verdicts for chain maps go
+through acyclicity of the mapping cone, which needs ranks and invariant
+factors only.
 """
 
 from __future__ import annotations
@@ -153,28 +154,18 @@ def chain_complex(K, reduced=False):
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form (operation wrapper)
-# ---------------------------------------------------------------------------
-
-def smith(matrix):
-    """Smith decomposition U*D*V of an integer matrix (list of rows).
-
-    All arithmetic is arbitrary precision; there is no fixed-width path to
-    overflow.  The decomposition records U^-1 and V^-1 as unimodularity
-    witnesses and re-verification is a method call away.
-    """
-    return exact.smith(matrix)
-
-
-# ---------------------------------------------------------------------------
 # homology groups
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class HomologyGroup:
+    """A homology group: free rank and torsion over Z, or the dimension
+    (as free_rank) over a field, whose name `ring` ("Q", "F_2", ...) labels
+    the printed group."""
     degree: int
     free_rank: int
     torsion: tuple = ()
+    ring: str = "Z"
 
     def is_trivial(self):
         return self.free_rank == 0 and not self.torsion
@@ -182,30 +173,27 @@ class HomologyGroup:
     def __str__(self):
         parts = []
         if self.free_rank == 1:
-            parts.append("Z")
+            parts.append(self.ring)
         elif self.free_rank > 1:
-            parts.append(f"Z^{self.free_rank}")
+            parts.append(f"{self.ring}^{self.free_rank}")
         parts.extend(f"Z/{t}" for t in self.torsion)
         return " + ".join(parts) if parts else "0"
 
 
-def _sparse_of(coo, m, n):
-    return exact.SparseMat.from_entries(m, n, coo)
-
-
-def homology(C, coeff="Z", p=None, use_morse=True):
+def homology(C, coeff="Z", p=None):
     """Per-degree homology of a ChainComplex.
 
     coeff is "Z", "Q" or "F" (with p prime).  Integral homology reports
     free rank and the divisibility-ordered torsion coefficients; field
-    homology reports dimensions.
+    homology reports dimensions.  The complex is Morse-reduced over Z
+    first, whatever the coefficients.
     """
     if coeff == "F":
         if p is None or not is_prime(p):
             raise ValueError(f"field coefficient needs a prime, got {p!r}")
     elif coeff not in ("Z", "Q"):
         raise ValueError(f"unknown coefficients {coeff!r}")
-    W = C.morse_reduced() if use_morse and C.total_rank() > 64 else C
+    W = C.morse_reduced()
     ranks = {}
     factors = {}
     for k in range(W.lo, W.hi + 2):
@@ -215,7 +203,7 @@ def homology(C, coeff="Z", p=None, use_morse=True):
             ranks[k] = 0
             factors[k] = []
             continue
-        sp = _sparse_of(coo, m, n)
+        sp = exact.SparseMat.from_entries(m, n, coo)
         if coeff == "F":
             ranks[k] = exact.sparse_rank_mod_p(sp, p)
             factors[k] = []
@@ -223,19 +211,16 @@ def homology(C, coeff="Z", p=None, use_morse=True):
             r, fs = exact.sparse_rank_and_factors(sp)
             ranks[k] = r
             factors[k] = fs
+    ring = f"F_{p}" if coeff == "F" else coeff
     out = {}
     for k in range(W.lo, W.hi + 1):
         n = W.rank(k)
+        # over F_p the torsion is already folded into the mod-p ranks
         free = n - ranks.get(k, 0) - ranks.get(k + 1, 0)
+        tors = ()
         if coeff == "Z":
             tors = tuple(d for d in factors.get(k + 1, []) if d > 1)
-        elif coeff == "F":
-            # dim over F_p: rank part plus torsion contributions are already
-            # folded into the mod-p ranks of the boundaries
-            tors = ()
-        else:
-            tors = ()
-        out[k] = HomologyGroup(k, free, tors)
+        out[k] = HomologyGroup(k, free, tors, ring)
     return out
 
 
@@ -571,6 +556,9 @@ def bockstein(K, p, k, reduced=True):
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     C = chain_complex(K, reduced=reduced)
+    # the entries depend on the bases of the complex they are computed on;
+    # small complexes stay unreduced so that their reported matrices keep
+    # the same entries
     W = C.morse_reduced() if C.total_rank() > 64 else C
     bk, coords_k = fp_homology_basis(W, k, p)
     bk1, coords_k1 = fp_homology_basis(W, k - 1, p)

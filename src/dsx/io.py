@@ -31,6 +31,27 @@ class SchemaError(ValueError):
     """Malformed interchange file."""
 
 
+def _read_json(path, what):
+    """The JSON object in `path`; SchemaError if it cannot be read, is not
+    JSON, or is not an object."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise SchemaError(f"cannot read {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"not JSON: {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise SchemaError(f"not a {what} file: {path}")
+    return data
+
+
+def _write_json(data, path):
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 def delta_to_dict(K):
     based = isinstance(K, BasedDeltaSet)
     faces = {}
@@ -83,22 +104,11 @@ def delta_from_dict(data):
 
 
 def write_delta(K, path):
-    with open(path, "w") as fh:
-        json.dump(delta_to_dict(K), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(delta_to_dict(K), path)
 
 
 def read_delta(path):
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise SchemaError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not JSON: {path}: {exc}") from None
-    if not isinstance(data, dict):
-        raise SchemaError(f"not a Delta-set file: {path}")
-    return delta_from_dict(data)
+    return delta_from_dict(_read_json(path, "Delta-set"))
 
 
 def morphism_to_dict(f, source_path, target_path):
@@ -108,14 +118,8 @@ def morphism_to_dict(f, source_path, target_path):
 
 
 def read_morphism(path):
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise SchemaError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not JSON: {path}: {exc}") from None
-    if not isinstance(data, dict) or "map" not in data:
+    data = _read_json(path, "morphism")
+    if "map" not in data:
         raise SchemaError(f"not a morphism file: {path}")
     base = os.path.dirname(os.path.abspath(path))
     src = read_delta(os.path.join(base, data["source"]))
@@ -164,22 +168,11 @@ def complex_from_dict(data):
 
 
 def read_complex(path):
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise SchemaError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not JSON: {path}: {exc}") from None
-    if not isinstance(data, dict):
-        raise SchemaError(f"not a complex file: {path}")
-    return complex_from_dict(data)
+    return complex_from_dict(_read_json(path, "complex"))
 
 
 def write_complex(C, path):
-    with open(path, "w") as fh:
-        json.dump(complex_to_dict(C), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(complex_to_dict(C), path)
 
 
 def certificate_to_dict(cert):
@@ -206,17 +199,8 @@ def certificate_from_dict(data):
 
 
 def write_certificate(cert, path):
-    with open(path, "w") as fh:
-        json.dump(certificate_to_dict(cert), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(certificate_to_dict(cert), path)
 
 
 def read_certificate(path):
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise SchemaError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not JSON: {path}: {exc}") from None
-    return certificate_from_dict(data)
+    return certificate_from_dict(_read_json(path, "certificate"))

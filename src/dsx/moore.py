@@ -459,20 +459,20 @@ class MooreSystem:
             mapping[s] = mu.mapping[mid]
         return BasedMorphism(src, self.power(i), mapping)
 
-    def coherence_composite(self, i, coeff="Z", p=None):
+    def coherence_composite(self, i):
         """(map, verdict): whether the coherence composite induces an
-        isomorphism on reduced homology in every degree."""
+        isomorphism on reduced integral homology in every degree."""
         f = self.coherence_map(i)
-        verdict = is_homology_iso(f, coeff=coeff, p=p)
-        return f, verdict
+        return f, is_homology_iso(f)
 
-    def free_module_report(self, K, k, field_only=False):
+    def free_module_report(self, K, k):
         """Coherence of the free module on K: for 2 <= j <= k, check that
         S2 /\\ P^{j-1} /\\ K -> P^j /\\ K is a homology isomorphism.
 
-        Verification is integral via mapping-cone acyclicity when feasible;
-        with field_only=True (or for large instances) the fields
-        F2, F3, F5 and Q are used instead.  Returns a CoherenceReport.
+        Every level is decided over Z by acyclicity of the mapping cone
+        (method "integral-cone"): the cone is Morse-reduced and its residue
+        eliminated, so torsion at every prime is seen.  Returns a
+        CoherenceReport.
         """
         if not 1 <= k <= self.p - 1:
             raise ValueError("coherence level out of range")
@@ -482,26 +482,11 @@ class MooreSystem:
             gK = smash_morphism(g, K)
             CS, CT, mats = chain_map_matrices(gK)
             cone = mapping_cone_complex(CS, CT, mats)
-            big = cone.total_rank() > 300000
+            groups = homology(cone, coeff="Z")
             entry = {"j": j, "source_cells": gK.source.n_cells(),
-                     "target_cells": gK.target.n_cells()}
-            if field_only or big:
-                fields = {}
-                red = cone.morse_reduced()
-                for label, pp in (("F2", 2), ("F3", 3), ("F5", 5), ("Q", None)):
-                    if pp is None:
-                        groups = homology(red, coeff="Q")
-                    else:
-                        groups = homology(red, coeff="F", p=pp)
-                    fields[label] = all(g_.is_trivial()
-                                        for g_ in groups.values())
-                entry["method"] = "fields"
-                entry["field_verdicts"] = fields
-                entry["iso"] = all(fields.values())
-            else:
-                groups = homology(cone, coeff="Z")
-                entry["method"] = "integral-cone"
-                entry["iso"] = all(g_.is_trivial() for g_ in groups.values())
+                     "target_cells": gK.target.n_cells(),
+                     "method": "integral-cone",
+                     "iso": all(g_.is_trivial() for g_ in groups.values())}
             if gK.source.n_cells() + gK.target.n_cells() <= 800:
                 # dense per-degree bases: only worthwhile on small instances
                 mats_small = induced_map(gK, coeff="F", p=self.p)

@@ -217,6 +217,8 @@ def find_collapse_sequence(L, K, budget=100000):
     Returns an ExpansionCertificate (base K, result L) or None when the
     bounded search space is exhausted; raises BudgetExhausted when the
     node budget runs out first.  Absence of a certificate proves nothing.
+    The depth-first search keeps its path on an explicit stack, so a
+    certificate may need any number of moves.
     """
     if isinstance(K, SubDeltaSet):
         target = K.members
@@ -224,12 +226,16 @@ def find_collapse_sequence(L, K, budget=100000):
     else:
         target = set(K.dim_of)
         base = K
-        for s in target:
-            if s not in L.dim_of:
-                raise ValueError(f"{s!r} is not a simplex of L")
-    nodes = 0
+    for s in target:
+        if s not in L.dim_of:
+            raise ValueError(f"{s!r} is not a simplex of L")
+    # a search node is L minus the collapsed cells; moves never touch the
+    # target, so the search succeeds once only the target is left
+    removed = set()
+    goal = len(L.dim_of) - len(target)
 
-    def collapse_moves(faces, dim_of):
+    def collapse_moves():
+        faces = {s: fs for s, fs in L.faces.items() if s not in removed}
         face_parents = {}
         for s, fs in faces.items():
             for fc in fs:
@@ -238,7 +244,7 @@ def find_collapse_sequence(L, K, budget=100000):
         for e, fs in faces.items():
             if e in target or e in face_parents:
                 continue
-            d = dim_of[e]
+            d = L.dim_of[e]
             if d == 0:
                 continue
             for i, f in enumerate(fs):
@@ -248,30 +254,29 @@ def find_collapse_sequence(L, K, budget=100000):
                 if len(parents) == 1 and parents[0] == e:
                     cands.append((d, e, i))
         cands.sort(key=lambda t: (-t[0], L.sort_key(t[1]), t[2]))
-        return cands
+        return iter(cands)
 
-    def dfs(faces, dim_of, acc):
-        nonlocal nodes
-        if set(dim_of) == target:
-            return list(acc)
+    collapse_seq = []       # the moves into each node on the stack
+    stack = []              # per node, the iterator of its untried moves
+    nodes = 0
+    while len(removed) != goal:
         nodes += 1
         if nodes > budget:
             raise BudgetExhausted(f"collapse search exceeded {budget} nodes")
-        for d, e, i in collapse_moves(faces, dim_of):
-            f = faces[e][i]
-            mv = Move("collapse", e, i, faces[e],
-                      faces[f] if dim_of[f] > 0 else ())
-            nf = dict(faces)
-            nd = dict(dim_of)
-            del nf[e], nf[f], nd[e], nd[f]
-            res = dfs(nf, nd, acc + [mv])
-            if res is not None:
-                return res
-        return None
-
-    collapse_seq = dfs(dict(L.faces), dict(L.dim_of), [])
-    if collapse_seq is None:
-        return None
+        stack.append(collapse_moves())
+        step = next(stack[-1], None)
+        while step is None:
+            stack.pop()
+            if not stack:
+                return None
+            mv = collapse_seq.pop()
+            removed.difference_update((mv.e, mv.e_faces[mv.i]))
+            step = next(stack[-1], None)
+        d, e, i = step
+        f = L.faces[e][i]
+        collapse_seq.append(Move("collapse", e, i, L.faces[e],
+                                 L.faces[f] if L.dim_of[f] > 0 else ()))
+        removed.update((e, f))
     expands = [m.inverse() for m in reversed(collapse_seq)]
     cert = ExpansionCertificate(base, expands, L)
     if not cert.verify():

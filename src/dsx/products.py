@@ -270,10 +270,6 @@ def smash(K, L):
     return n_ary_smash([K, L])
 
 
-def smash_face_key(deltas, xs, pts, i):
-    return _face_key(deltas, xs, pts, i)
-
-
 def smash_morphism(f, X):
     """f /\\ X : K /\\ X -> L /\\ X for a based morphism f : K -> L."""
     src = smash(f.source, X)

@@ -66,7 +66,7 @@ def test_boundary_two_is_a_circle():
 
 def test_horn_collapses_to_a_point():
     H = dsx.standard("horn", 2, 1)
-    pt = dsx.sub_complex(H, ["2"])
+    pt = dsx.SubDeltaSet(H, ["2"])
     cert = dsx.find_collapse_sequence(H, pt)
     assert cert is not None and len(cert) == 2
     assert cert.verify()
@@ -83,7 +83,7 @@ def test_skeleton():
 def test_skeleton_must_be_face_closed():
     D2 = dsx.standard("simplex", 2)
     with pytest.raises(ValueError):
-        dsx.sub_complex(D2, ["0,1,2"])
+        dsx.SubDeltaSet(D2, ["0,1,2"])
 
 
 def test_pushout_outer_horn_fold():

@@ -1,0 +1,56 @@
+"""The elimination kernel against sympy as an independent oracle.
+
+Small integer matrices mix +-1 entries (which the kernel cancels), zeros
+and non-units (which reach dense Smith over Z); their invariant factors and
+mod-p ranks must agree with sympy's.
+"""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+pytest.importorskip("sympy")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+from sympy import Matrix  # noqa: E402
+from sympy.matrices.normalforms import invariant_factors  # noqa: E402
+from sympy.polys.domains import GF  # noqa: E402
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
+
+from dsx import exact  # noqa: E402
+
+ENTRIES = st.one_of(st.sampled_from([-1, 0, 0, 1]), st.integers(-9, 9))
+
+
+@st.composite
+def matrices(draw):
+    m = draw(st.integers(1, 7))
+    n = draw(st.integers(1, 7))
+    return [[draw(ENTRIES) for _ in range(n)] for _ in range(m)]
+
+
+def sparse_of(A):
+    coo = {(i, j): v for i, row in enumerate(A) for j, v in enumerate(row)
+           if v}
+    return exact.SparseMat.from_entries(len(A), len(A[0]), coo)
+
+
+def sympy_factors(A):
+    return [abs(int(d)) for d in invariant_factors(Matrix(A)) if d != 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_smith_and_sparse_factors_match_sympy(A):
+    want = sympy_factors(A)
+    assert exact.smith(A).invariant_factors() == want
+    assert exact.smith(A, with_transforms=False).invariant_factors() == want
+    rank, factors = exact.sparse_rank_and_factors(sparse_of(A))
+    assert (rank, factors) == (len(want), want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_sparse_rank_mod_p_matches_sympy(A):
+    for p in (2, 3, 5, 7):
+        want = DomainMatrix.from_list(A, GF(p)).rank()
+        assert exact.sparse_rank_mod_p(sparse_of(A), p) == want, p

@@ -100,19 +100,50 @@ def test_sparse_factors_agree_with_dense():
         assert sorted(factors) == sorted(S.invariant_factors())
 
 
+def dense_homology(C, coeff="Z", p=None):
+    """{k: (free rank, torsion)} from the dense boundaries of C with no
+    reduction: Smith forms over Z and Q, row reduction over F_p."""
+    rank, factors = {}, {}
+    for k in range(C.lo, C.hi + 2):
+        rank[k], factors[k] = 0, []
+        if not (C.rank(k) and C.rank(k - 1)):
+            continue
+        A = C.boundary_dense(k)
+        if coeff == "F":
+            rank[k] = exact.fp_rank(A, p)
+        else:
+            S = exact.smith(A, with_transforms=False)
+            rank[k], factors[k] = S.rank(), S.invariant_factors()
+    return {k: (C.rank(k) - rank[k] - rank[k + 1],
+                tuple(d for d in factors[k + 1] if d > 1)
+                if coeff == "Z" else ())
+            for k in range(C.lo, C.hi + 1)}
+
+
 def test_morse_reduction_preserves_homology(corpus):
     for name in ("RP2", "torus", "bdD3", "cone_bdD2"):
         C = dsx.chain_complex(corpus[name])
         W = C.morse_reduced()
         assert W.total_rank() <= C.total_rank()
+        assert W.euler_characteristic() == C.euler_characteristic()
+        assert W.verify() == []
         for coeff, p in (("Z", None), ("F", 2), ("F", 3), ("Q", None)):
-            a = {k: str(g) for k, g in
-                 dsx.homology(C, coeff=coeff, p=p, use_morse=False).items()
-                 if not g.is_trivial()}
-            b = {k: str(g) for k, g in
-                 dsx.homology(W, coeff=coeff, p=p, use_morse=False).items()
-                 if not g.is_trivial()}
-            assert a == b, (name, coeff, p)
+            want = dense_homology(C, coeff, p)
+            assert dense_homology(W, coeff, p) == want, (name, coeff, p)
+            got = {k: (g.free_rank, g.torsion) for k, g in
+                   dsx.homology(C, coeff=coeff, p=p).items()}
+            assert got == want, (name, coeff, p)
+
+
+def test_morse_reduction_mod_p_leaves_betti_numbers(corpus):
+    for name in ("RP2", "torus", "bdD3", "wedgeish"):
+        C = dsx.chain_complex(corpus[name])
+        for p in (2, 3):
+            ranks, bnd = exact.morse_reduce(C.ranks, C.d, p)
+            assert all(not coo for coo in bnd.values()), (name, p)
+            betti = {k: free for k, (free, _) in
+                     dense_homology(C, "F", p).items()}
+            assert ranks == betti, (name, p)
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +157,16 @@ def test_field_homology_of_moore(moore3):
     for coeff, p in (("F", 2), ("Q", None)):
         groups = dsx.homology_of(moore3.M, coeff=coeff, p=p, reduced=True)
         assert all(g.is_trivial() for g in groups.values())
+
+
+def test_field_homology_labels(corpus):
+    groups = dsx.homology_of(corpus["RP2"], coeff="F", p=2)
+    assert dsx.homology_table(groups) == {0: "F_2", 1: "F_2", 2: "F_2"}
+    groups = dsx.homology_of(corpus["torus"], coeff="F", p=3)
+    assert dsx.homology_table(groups) == {0: "F_3", 1: "F_3^2", 2: "F_3"}
+    groups = dsx.homology_of(corpus["RP2"], coeff="Q")
+    assert dsx.homology_table(groups) == {0: "Q", 1: "0", 2: "0"}
+    assert str(dsx.homology_of(corpus["RP2"])[1]) == "Z/2"
 
 
 def test_point_homology():
@@ -171,6 +212,16 @@ def test_homology_invariant_under_certificate_replay(corpus):
 # ---------------------------------------------------------------------------
 # induced maps
 # ---------------------------------------------------------------------------
+
+def test_homology_iso_is_decided_over_z():
+    # nabla(7) is multiplication by 7 on H1: invertible over F2, F3, F5
+    # and Q, so only the integral verdict sees the 7-torsion of its cone
+    f = dsx.nabla(7)
+    assert not dsx.is_homology_iso(f)
+    for coeff, p in (("F", 2), ("F", 3), ("F", 5), ("Q", None)):
+        assert dsx.is_homology_iso(f, coeff=coeff, p=p), (coeff, p)
+    assert not dsx.is_homology_iso(f, coeff="F", p=7)
+
 
 def test_induced_identity(moore3):
     m = dsx.induced_map(dsx.based_identity(moore3.M))

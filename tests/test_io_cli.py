@@ -119,7 +119,11 @@ def test_cli_homology_coefficients(tmp_path):
     status, report = run(["homology", path, "--coeff", "Fp", "--p", "2"],
                          stream=out)
     assert status == 0
-    assert report["tables"]["homology"] == {"0": "Z", "1": "Z", "2": "Z"}
+    assert report["tables"]["homology"] == {"0": "F_2", "1": "F_2",
+                                            "2": "F_2"}
+    status, report = run(["homology", path, "--coeff", "Q"], stream=out)
+    assert status == 0
+    assert report["tables"]["homology"] == {"0": "Q", "1": "0", "2": "0"}
     status, _ = run(["homology", path, "--coeff", "Fp"], stream=out)
     assert status == 2
 
@@ -159,11 +163,34 @@ def test_cli_cone_and_certify(tmp_path):
     assert report["tables"]["verdict"] == "OBSTRUCTED"
     status, report = run(["certify", b, d, "--require-pass"], stream=out)
     assert status == 1
+    assert report["checks"] == [{"name": "certified", "verdict": "FAIL",
+                                 "result": "OBSTRUCTED"}]
     # horn in simplex: certified
     h = _write(tmp_path, "horn.json", dsx.standard("horn", 2, 1))
+    out = _io.StringIO()
     status, report = run(["certify", h, d, "--require-pass"], stream=out)
     assert status == 0
     assert report["tables"]["verdict"] == "CERTIFIED"
+    assert report["checks"] == [{"name": "certified", "verdict": "PASS",
+                                 "result": "CERTIFIED"}]
+    assert out.getvalue().splitlines()[0] == \
+        '[PASS] certified {"result": "CERTIFIED"}'
+
+
+def test_cli_certify_needs_no_recursion_per_move(tmp_path):
+    # the cone of C13 x C13 collapses to its apex in 1,014 moves, more
+    # than Python's default recursion limit
+    K = dsx.geometric_product(dsx.cycle_graph(13), dsx.cycle_graph(13))
+    CK, _, _ = dsx.cone(K)
+    apex = _write(tmp_path, "apex.json", dsx.SubDeltaSet(CK, ["apex"])
+                  .as_delta_set())
+    cone = _write(tmp_path, "cone.json", CK)
+    out = _io.StringIO()
+    status, report = run(["certify", apex, cone, "--require-pass"],
+                         stream=out)
+    assert status == 0
+    assert report["tables"]["moves"] == K.n_cells() == 1014
+    assert report["checks"][0]["verdict"] == "PASS"
 
 
 def test_cli_cylinder(tmp_path):

@@ -235,13 +235,15 @@ def test_free_module_report_unit_case(moore3_p2):
     assert d["p"] == 3 and d["k"] == 2
 
 
-def test_free_module_report_field_route(moore3_p2):
+def test_free_module_report_is_integral_at_every_level(moore3_p2):
     s0 = dsx.BasedDeltaSet({0: ["w"]}, {})
-    rep = moore3_p2.free_module_report(s0, 2, field_only=True)
-    assert rep.levels[2]["method"] == "fields"
-    assert rep.levels[2]["field_verdicts"] == \
-        {"F2": True, "F3": True, "F5": True, "Q": True}
-    assert rep.all_pass()
+    for k in (1, 2):
+        rep = moore3_p2.free_module_report(s0, k)
+        assert sorted(rep.levels) == list(range(2, k + 1))
+        for entry in rep.levels.values():
+            assert entry["method"] == "integral-cone"
+            assert "field_verdicts" not in entry
+        assert rep.all_pass()
 
 
 def test_free_module_report_circle(moore3_p2):

@@ -61,13 +61,13 @@ def test_cone_certificate_one_move_per_simplex(corpus):
 
 def test_horn_in_simplex_is_expansion():
     D2 = dsx.standard("simplex", 2)
-    sub = dsx.sub_complex(D2, list(dsx.standard("horn", 2, 1).dim_of))
+    sub = dsx.SubDeltaSet(D2, list(dsx.standard("horn", 2, 1).dim_of))
     assert dsx.is_elementary_expansion(sub) == ("0,1,2", 1)
 
 
 def test_boundary_in_simplex_is_not_expansion():
     D2 = dsx.standard("simplex", 2)
-    sub = dsx.sub_complex(D2, list(dsx.standard("boundary", 2).dim_of))
+    sub = dsx.SubDeltaSet(D2, list(dsx.standard("boundary", 2).dim_of))
     assert dsx.is_elementary_expansion(sub) is None
     assert dsx.expansion_via_horn_pushout(sub) is None
 
@@ -75,7 +75,7 @@ def test_boundary_in_simplex_is_not_expansion():
 def test_point_in_cone_of_point_is_expansion():
     pt = dsx.standard("simplex", 0)
     CK, incl, cert = dsx.cone(pt)
-    sub = dsx.sub_complex(CK, ["apex"])
+    sub = dsx.SubDeltaSet(CK, ["apex"])
     witness = dsx.is_elementary_expansion(sub)
     assert witness is not None
     e, i = witness
@@ -101,7 +101,7 @@ def test_expansion_agrees_with_horn_pushout_crosscheck(corpus):
     for L, members in cases:
         # restrict to face-closed subsets (peeled sets always are)
         try:
-            sub = dsx.sub_complex(L, members)
+            sub = dsx.SubDeltaSet(L, members)
         except ValueError:
             continue
         direct = dsx.is_elementary_expansion(sub)
@@ -118,7 +118,7 @@ def test_expansion_agrees_with_horn_pushout_crosscheck(corpus):
 def test_collapse_horn_single_move():
     for n, i in ((1, 0), (2, 1), (3, 2)):
         D = dsx.standard("simplex", n)
-        sub = dsx.sub_complex(D, list(dsx.standard("horn", n, i).dim_of))
+        sub = dsx.SubDeltaSet(D, list(dsx.standard("horn", n, i).dim_of))
         cert = dsx.find_collapse_sequence(D, sub)
         assert cert is not None and len(cert) == 1
         assert cert.verify()
@@ -127,7 +127,7 @@ def test_collapse_horn_single_move():
 def test_collapse_cone_to_point(corpus):
     K = corpus["bdD2"]
     CK, incl, cert = dsx.cone(K)
-    found = dsx.find_collapse_sequence(CK, dsx.sub_complex(CK, ["apex"]))
+    found = dsx.find_collapse_sequence(CK, dsx.SubDeltaSet(CK, ["apex"]))
     assert found is not None
     assert len(found) == 6
     assert found.verify()
@@ -135,7 +135,7 @@ def test_collapse_cone_to_point(corpus):
 
 def test_collapse_boundary_in_simplex_none():
     D2 = dsx.standard("simplex", 2)
-    sub = dsx.sub_complex(D2, list(dsx.standard("boundary", 2).dim_of))
+    sub = dsx.SubDeltaSet(D2, list(dsx.standard("boundary", 2).dim_of))
     assert dsx.find_collapse_sequence(D2, sub) is None
 
 
@@ -143,7 +143,7 @@ def test_budget_exhaustion_is_distinct():
     K = dsx.standard("boundary", 3)
     CK, incl, cert = dsx.cone(K)
     with pytest.raises(dsx.BudgetExhausted):
-        dsx.find_collapse_sequence(CK, dsx.sub_complex(CK, ["apex"]), budget=2)
+        dsx.find_collapse_sequence(CK, dsx.SubDeltaSet(CK, ["apex"]), budget=2)
 
 
 def test_certificate_replay_preserves_homology(corpus):
@@ -182,7 +182,7 @@ def test_cylinder_of_identity_on_point():
     assert dsx.is_valid(Mf)
     assert cert.verify()
     # collapses to the point
-    target = dsx.sub_complex(Mf, [j.mapping["0"]])
+    target = dsx.SubDeltaSet(Mf, [j.mapping["0"]])
     assert dsx.find_collapse_sequence(Mf, target) is not None
     assert dsx.homology_table(dsx.homology_of(Mf)) == {0: "Z", 1: "0"}
 
