@@ -549,25 +549,20 @@ def sparse_rank_mod_p(M, p):
     return len(_cancel_units({1: M}, p))
 
 
-def morse_reduce(ranks, boundaries, p=None):
-    """Cancel the unit entries of the boundary matrices of a complex.
+def morse_reduce(ranks, boundaries):
+    """Cancel the +-1 entries of the boundary matrices of a complex over Z.
 
     `ranks` maps degree -> number of cells, `boundaries` maps degree k to a
     COO dict {(row, col): v} for d_k : C_k -> C_{k-1}.  Returns reduced
-    (ranks, boundaries) of a complex with identical homology.  Over Z (p
-    None) only +-1 entries are cancelled, which is a chain homotopy
-    equivalence over Z and so preserves homology with every coefficient
-    ring; over F_p (p prime) every entry mod p is cancelled and the
-    residue has zero boundaries, its ranks being the mod-p Betti numbers.
+    (ranks, boundaries) of a complex with identical homology: each
+    cancellation is a chain homotopy equivalence over Z, so homology with
+    every coefficient ring is preserved.
     """
     mats = {k: SparseMat.from_entries(ranks.get(k - 1, 0), ranks.get(k, 0),
                                       coo)
             for k, coo in boundaries.items()}
-    if p is not None:
-        for m in mats.values():
-            m.reduce_mod(p)
     alive = {k: set(range(n)) for k, n in ranks.items()}
-    for k, r, c in _cancel_units(mats, p):
+    for k, r, c in _cancel_units(mats):
         alive[k].discard(c)
         alive[k - 1].discard(r)
 

@@ -139,6 +139,14 @@ def test_collapse_boundary_in_simplex_none():
     assert dsx.find_collapse_sequence(D2, sub) is None
 
 
+def test_collapse_target_outside_l_raises():
+    D2, D3 = dsx.standard("simplex", 2), dsx.standard("simplex", 3)
+    with pytest.raises(ValueError):
+        dsx.find_collapse_sequence(D2, dsx.SubDeltaSet(D3, ["0", "3"]))
+    with pytest.raises(ValueError):
+        dsx.find_collapse_sequence(D2, D3)
+
+
 def test_budget_exhaustion_is_distinct():
     K = dsx.standard("boundary", 3)
     CK, incl, cert = dsx.cone(K)
