@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .delta import DeltaSet, DeltaMorphism, safe_key
+from .delta import DeltaSet, DeltaMorphism, sorted_cells
 
 
 class BasedDeltaSet:
@@ -30,11 +30,10 @@ class BasedDeltaSet:
     def __init__(self, simplices, faces, sort_keys=None):
         keyed = dict(sort_keys) if sort_keys else {}
         self._sort_keys = keyed
-        key = lambda s: safe_key(keyed.get(s, (s,)))
         self.simplices = {}
         self.dim_of = {}
         for d in sorted(simplices):
-            names = sorted(simplices[d], key=key)
+            names = sorted_cells(simplices[d], keyed)
             if not names:
                 continue
             self.simplices[d] = tuple(names)

@@ -26,6 +26,42 @@ def safe_key(k):
     return (1, (str(k),))
 
 
+def _plain(keys):
+    """True when every key is built from str, int, bool and tuples only."""
+    seen = set()  # ids of tuples already walked; charts are shared objects
+    stack = list(keys)
+    while stack:
+        k = stack.pop()
+        t = type(k)
+        if t is tuple:
+            if id(k) not in seen:
+                seen.add(id(k))
+                stack.extend(k)
+        elif t is not str and t is not int and t is not bool:
+            return False
+    return True
+
+
+def sorted_cells(names, sort_keys):
+    """`names` in the order of safe_key(sort_keys.get(s, (s,))).
+
+    On keys built from str, int, bool and tuples, plain comparison agrees
+    with safe_key wherever it does not raise, and it raises TypeError
+    exactly when two compared entries mix types; so such keys are sorted
+    plainly and safe_key is used only after a TypeError.  Any other leaf
+    (a float, which safe_key orders as a string, say) goes to safe_key.
+    """
+    names = list(names)
+    keys = [sort_keys.get(s, (s,)) for s in names]
+    if _plain(keys):
+        try:
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            return [names[k] for k in order]
+        except TypeError:
+            pass
+    return sorted(names, key=lambda s: safe_key(sort_keys.get(s, (s,))))
+
+
 class DeltaSet:
     """Finite Delta-set: per-dimension simplex lists plus a face table.
 
@@ -40,15 +76,16 @@ class DeltaSet:
 
         sort_keys optionally maps names to orderable keys encoding the
         canonical construction data; simplex lists are sorted by them
-        (by name otherwise) so that repeated runs are bit-identical.
+        (by the key (name,) otherwise) so that repeated runs are
+        bit-identical.  The order is that of safe_key; `sorted_cells`
+        reaches it by plain comparison when the keys allow.
         """
         keyed = dict(sort_keys) if sort_keys else {}
         self._sort_keys = keyed
-        key = lambda s: safe_key(keyed.get(s, (s,)))
         self.simplices = {}
         self.dim_of = {}
         for d in sorted(simplices):
-            names = sorted(simplices[d], key=key)
+            names = sorted_cells(simplices[d], keyed)
             if not names:
                 continue
             self.simplices[d] = tuple(names)

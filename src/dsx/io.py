@@ -11,7 +11,10 @@ Chain-complex file:
       "boundaries": { "k": row-major matrix of d_k : C_k -> C_{k-1} } }
 Certificate file: ordered move list with simplex names and face indices.
 
-Loaders validate and refuse invalid files (SchemaError).
+Loaders validate and refuse invalid files (SchemaError): besides the
+semisimplicial identity, a Delta-set file may give faces only for declared
+simplices, and its optional "dims" must be the top dimension with simplices
+(-1 when there are none).
 """
 
 from __future__ import annotations
@@ -71,18 +74,26 @@ def delta_to_dict(K):
 
 def delta_from_dict(data):
     try:
-        based = bool(data.get("based", False))
-        simplices = {int(d): list(names)
+        based = data.get("based", False)
+        simplices = {int(d): names
                      for d, names in data.get("simplices", {}).items()}
         raw_faces = data.get("faces", {})
     except (TypeError, ValueError, AttributeError) as exc:
         raise SchemaError(f"malformed Delta-set file: {exc}") from None
+    if type(based) is not bool:
+        raise SchemaError(f"'based' is {based!r}, not true or false")
+    if not isinstance(raw_faces, dict):
+        raise SchemaError("malformed Delta-set file: 'faces' is not an object")
     for d, names in simplices.items():
+        if not isinstance(names, list):
+            raise SchemaError(f"simplices of dimension {d} are not a list")
         for s in names:
             if not isinstance(s, str) or s == BASEPOINT:
                 raise SchemaError(f"bad simplex name {s!r}")
     faces = {}
     for s, fs in raw_faces.items():
+        if not isinstance(fs, list) or not all(isinstance(f, str) for f in fs):
+            raise SchemaError(f"faces of {s!r} are not a list of names")
         if based:
             faces[s] = tuple(None if f == BASEPOINT else f for f in fs)
         else:
@@ -98,6 +109,14 @@ def delta_from_dict(data):
             report = validate(K)
     except ValueError as exc:
         raise SchemaError(f"invalid Delta-set: {exc}") from None
+    undeclared = [s for s in faces if s not in K.dim_of]
+    if undeclared:
+        raise SchemaError(f"faces given for undeclared simplices "
+                          f"{undeclared[:3]}")
+    dims = data.get("dims", K.top_dim)
+    if type(dims) is not int or dims != K.top_dim:
+        raise SchemaError(f"'dims' is {dims!r} but the top dimension with "
+                          f"simplices is {K.top_dim}")
     if report:
         raise SchemaError(f"semisimplicial identity fails: {report[:3]}")
     return K
@@ -119,16 +138,22 @@ def morphism_to_dict(f, source_path, target_path):
 
 def read_morphism(path):
     data = _read_json(path, "morphism")
-    if "map" not in data:
-        raise SchemaError(f"not a morphism file: {path}")
+    raw_map = data.get("map")
+    if not isinstance(raw_map, dict):
+        raise SchemaError(f"not a morphism file: {path}: 'map' is not an "
+                          f"object")
+    if not all(isinstance(t, str) for t in raw_map.values()):
+        raise SchemaError(f"morphism file {path}: images are not names")
+    for end in ("source", "target"):
+        if not isinstance(data.get(end), str):
+            raise SchemaError(f"morphism file {path}: '{end}' is not a path")
     base = os.path.dirname(os.path.abspath(path))
     src = read_delta(os.path.join(base, data["source"]))
     tgt = read_delta(os.path.join(base, data["target"]))
     based = isinstance(src, BasedDeltaSet)
     if based != isinstance(tgt, BasedDeltaSet):
         raise SchemaError("morphism mixes based and unbased Delta-sets")
-    mapping = {s: (None if t == BASEPOINT else t)
-               for s, t in data["map"].items()}
+    mapping = {s: (None if t == BASEPOINT else t) for s, t in raw_map.items()}
     try:
         if based:
             return BasedMorphism(src, tgt, mapping)

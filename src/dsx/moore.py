@@ -14,6 +14,7 @@ cell, not assumed).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import permutations
 
 from .delta import DeltaSet, DeltaMorphism, standard
@@ -275,12 +276,18 @@ def moore_space(n):
 # symmetric powers
 # ---------------------------------------------------------------------------
 
-def _orbit_rep(xs, pts, perms):
+@lru_cache(maxsize=None)
+def _permuted_charts(pts):
+    """(sigma, pts with coordinates permuted by sigma) for every sigma."""
+    return tuple((sigma, tuple(tuple(p[t] for t in sigma) for p in pts))
+                 for sigma in permutations(range(len(pts[0]))))
+
+
+def _orbit_rep(xs, pts):
+    """The least (factors, chart) in the Sigma_r-orbit of (xs; pts)."""
     best = None
-    for sigma in perms:
-        nxs = tuple(xs[t] for t in sigma)
-        npts = tuple(tuple(p[t] for t in sigma) for p in pts)
-        cand = (nxs, npts)
+    for sigma, npts in _permuted_charts(pts):
+        cand = (tuple(xs[t] for t in sigma), npts)
         if best is None or cand < best:
             best = cand
     return best
@@ -303,12 +310,11 @@ def symmetric_power_of(X, i, verify=True):
     if i == 1:
         return X, {s: s for s in X.dim_of}, X
     W = n_ary_smash([X] * i)
-    perms = list(permutations(range(i)))
     orbit_map = {}
     reps = {}
     for d, s in W.all_cells():
         xs, pts = cell_data(W, s)
-        rep = _orbit_rep(xs, pts, perms)
+        rep = _orbit_rep(xs, pts)
         name = orbit_cell_name(rep)
         orbit_map[s] = name
         if name not in reps:
@@ -366,8 +372,7 @@ class PowerSystem:
     def orbit_name(self, i, xs, pts):
         if i == 1:
             return xs[0]
-        rep = _orbit_rep(xs, pts, list(permutations(range(i))))
-        return orbit_cell_name(rep)
+        return orbit_cell_name(_orbit_rep(xs, pts))
 
     def projection(self, i, j):
         """mu_{i,j}, the canonical projection P^i /\\ P^j -> P^{i+j}."""
@@ -377,9 +382,13 @@ class PowerSystem:
         Pi, Pj = self.power(i), self.power(j)
         target = self.power(i + j)
         if (i, j) == (1, 1):
-            source = self._smash_powers[2]
-        else:
-            source = smash(Pi, Pj)
+            # the source is the smash square W, and mu_{1,1} is the orbit
+            # map symmetric_power_of already built for P^2
+            mu = BasedMorphism(self._smash_powers[2], target,
+                               self._orbit_maps[2])
+            self._projections[key] = mu
+            return mu
+        source = smash(Pi, Pj)
         mapping = {}
         for d, s in source.all_cells():
             (a, b), psi = cell_data(source, s)

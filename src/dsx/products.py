@@ -10,8 +10,13 @@ exactly a lattice path from the origin to (i1, ..., ir) whose steps lie in
 
 Faces drop a chart point and renormalize: each chart component is factored
 as (injective) o (surjective), the injective part is applied to the factor
-as an iterated face, and the surjective parts form the new chart.  For
-smash products a factor that normalizes to the basepoint kills the simplex.
+as an iterated face, and the surjective parts form the new chart.  Because
+chart steps lie in {0,1}^r, dropping a point makes each factor lose at most
+one vertex, and which vertex (and the new chart) depends only on the chart
+shape.  `_face_table(dims)` therefore does this normalization once per
+chart and face index; assembling a face is then one table row, at most r
+single faces of factors and one name lookup.  For smash products a factor
+that normalizes to the basepoint kills the simplex.
 
 Product cells record (factor names, chart points) as their sort key, so
 structural maps never need to parse cell names.
@@ -19,8 +24,10 @@ structural maps never need to parse cell names.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import product as iproduct
+from operator import sub
 
 from .delta import DeltaSet, DeltaMorphism, pushout
 from .based import BasedDeltaSet, BasedMorphism
@@ -54,6 +61,7 @@ def charts(dims):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def chart_name(pts):
     return "-".join(".".join(str(c) for c in p) for p in pts)
 
@@ -67,59 +75,71 @@ def cell_data(P, s):
     return P.sort_key(s)
 
 
-def _face_key(deltas, xs, pts, i):
-    """Canonical (factors, points) of the i-th face of (xs; pts).
+@lru_cache(maxsize=None)
+def _face_table(dims):
+    """Face normalization of every chart into prod([d] for d in dims).
 
-    Returns None when a factor normalizes to the basepoint (based case).
+    Entry [c][i] describes face i of the chart charts(dims)[c] as
+    (lost, j): lost[t] is the vertex factor t loses when point i is
+    dropped (None if its component stays onto), and j indexes the
+    normalized face chart in charts(face dims), where the face dims lower
+    dims[t] by one for each losing factor.  Vertex charts have no entries.
     """
-    dropped = pts[:i] + pts[i + 1:]
-    r = len(xs)
-    new_factors = []
-    comps = []
-    for t in range(r):
-        comp = [p[t] for p in dropped]
-        dim = deltas[t].dim_of[xs[t]]
-        used = sorted(set(comp))
-        missing = [v for v in range(dim + 1) if v not in set(used)]
-        x = deltas[t].iterated_face(xs[t], missing)
-        if x is None:
-            return None
-        new_factors.append(x)
-        reindex = {v: k for k, v in enumerate(used)}
-        comps.append([reindex[v] for v in comp])
-    new_pts = tuple(tuple(comps[t][k] for t in range(r))
-                    for k in range(len(dropped)))
-    return tuple(new_factors), new_pts
+    index = {}
+    table = []
+    for pts in charts(dims):
+        # a component loses value v when the dropped point is its only one
+        once = [{v for v, k in Counter(comp).items() if k == 1}
+                for comp in zip(*pts)]
+        row = []
+        for i in range(len(pts) if len(pts) > 1 else 0):
+            lost = tuple(v if v in once[t] else None
+                         for t, v in enumerate(pts[i]))
+            shift = tuple(m is not None for m in lost)
+            face_dims = tuple(map(sub, dims, shift))
+            # components are monotone, so only the points after i lie
+            # above a lost vertex and move down by one
+            face_pts = pts[:i] + tuple(tuple(map(sub, q, shift))
+                                       for q in pts[i + 1:])
+            if face_dims not in index:
+                index[face_dims] = {c: k for k, c in
+                                    enumerate(charts(face_dims))}
+            row.append((lost, index[face_dims][face_pts]))
+        table.append(tuple(row))
+    return tuple(table)
 
 
 def _assemble(factors, based):
     simplices = {}
     faces = {}
     keys = {}
-    names = {}
-    cell_list = []
+    names = {}  # factor tuple -> cell names in chart order
     for combo in iproduct(*[list(K.all_cells()) for K in factors]):
         dims = tuple(d for d, _ in combo)
         xs = tuple(s for _, s in combo)
+        row = names[xs] = []
         for pts in charts(dims):
             name = cell_name(xs, pts)
-            names[(xs, pts)] = name
-            dim = len(pts) - 1
-            simplices.setdefault(dim, []).append(name)
+            row.append(name)
+            simplices.setdefault(len(pts) - 1, []).append(name)
             keys[name] = (xs, pts)
-            if dim > 0:
-                cell_list.append((dim, xs, pts, name))
-    for dim, xs, pts, name in cell_list:
-        fcs = []
-        for i in range(dim + 1):
-            fk = _face_key(factors, xs, pts, i)
-            if fk is None:
-                if not based:
-                    raise AssertionError("basepoint face in unbased product")
-                fcs.append(None)
-            else:
-                fcs.append(names[fk])
-        faces[name] = tuple(fcs)
+    for xs, row in names.items():
+        x_faces = [K.faces[x] for K, x in zip(factors, xs)]
+        dims = tuple(K.dim_of[x] for K, x in zip(factors, xs))
+        for name, entries in zip(row, _face_table(dims)):
+            if not entries:
+                continue
+            fcs = []
+            for lost, j in entries:
+                ys = tuple(x if m is None else fx[m]
+                           for x, m, fx in zip(xs, lost, x_faces))
+                if None in ys:
+                    if not based:
+                        raise AssertionError("basepoint face in unbased product")
+                    fcs.append(None)
+                else:
+                    fcs.append(names[ys][j])
+            faces[name] = tuple(fcs)
     cls = BasedDeltaSet if based else DeltaSet
     return cls(simplices, faces, sort_keys=keys)
 

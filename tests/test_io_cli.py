@@ -1,3 +1,4 @@
+import hashlib
 import io as _io
 import json
 
@@ -49,6 +50,57 @@ def test_loader_refuses_star_in_unbased(tmp_path):
     path.write_text(json.dumps(bad))
     with pytest.raises(dio.SchemaError):
         dio.read_delta(path)
+
+
+@pytest.mark.parametrize("bad", [
+    # faces is not an object
+    {"dims": 1, "simplices": {"0": ["a"], "1": ["e"]}, "faces": []},
+    # a face entry is not a list, or not a list of names
+    {"dims": 1, "simplices": {"0": ["a"], "1": ["e"]}, "faces": {"e": 3}},
+    {"dims": 1, "simplices": {"0": ["a"], "1": ["e"]},
+     "faces": {"e": [["a"], "a"]}},
+    # simplices of a dimension are not a list
+    {"dims": 0, "simplices": {"0": "ab"}, "faces": {}},
+    # faces for a simplex that is not declared
+    {"dims": 0, "simplices": {"0": ["a"]}, "faces": {"ghost": ["a", "a"]}},
+    # dims disagrees with the top dimension, or is not an integer
+    {"dims": 5, "simplices": {"0": ["a"]}, "faces": {}},
+    {"dims": 0, "simplices": {"0": ["a"], "1": ["e"]},
+     "faces": {"e": ["a", "a"]}},
+    {"dims": "1", "simplices": {"0": ["a"], "1": ["e"]},
+     "faces": {"e": ["a", "a"]}},
+    {"dims": 0, "simplices": {}, "faces": {}},
+    # based is not a boolean
+    {"dims": 0, "simplices": {"0": ["a"]}, "based": "false"},
+])
+def test_loader_refuses_malformed(tmp_path, bad):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    with pytest.raises(dio.SchemaError):
+        dio.read_delta(path)
+    if "based" not in bad:
+        bad["based"] = True
+        path.write_text(json.dumps(bad))
+        with pytest.raises(dio.SchemaError):
+            dio.read_delta(path)
+
+
+def test_loader_accepts_written_dims(tmp_path):
+    for K in (dsx.EMPTY, dsx.standard("boundary", 2), dsx.circle()):
+        path = tmp_path / "k.json"
+        dio.write_delta(K, path)
+        assert dio.read_delta(path) == K
+    path.write_text(json.dumps({"simplices": {"0": ["a"]}}))
+    assert dio.read_delta(path).counts() == (1,)
+
+
+def test_cli_validate_refuses_ghost_faces(tmp_path):
+    path = tmp_path / "ghost.json"
+    path.write_text(json.dumps({"dims": 5, "simplices": {"0": ["a"]},
+                                "faces": {"ghost": ["a", "a"]}}))
+    status, report = run(["validate", str(path)], stream=_io.StringIO())
+    assert status == 2
+    assert "error" in report
 
 
 def test_morphism_roundtrip(tmp_path):
@@ -208,6 +260,25 @@ def test_cli_cylinder(tmp_path):
     assert report["checks"][0]["verdict"] == "PASS"
 
 
+@pytest.mark.parametrize("data", [
+    {"map": {}},
+    {"source": "k.json", "map": {}},
+    {"source": "k.json", "target": 7, "map": {}},
+    {"source": "k.json", "target": "pt.json", "map": []},
+    {"source": "k.json", "target": "pt.json"},
+    {"source": "k.json", "target": "pt.json", "map": {"0": ["0"]}},
+])
+def test_cli_cylinder_refuses_malformed_morphism(tmp_path, data):
+    dio.write_delta(dsx.standard("boundary", 1), tmp_path / "k.json")
+    dio.write_delta(dsx.standard("simplex", 0), tmp_path / "pt.json")
+    (tmp_path / "m.json").write_text(json.dumps(data))
+    status, report = run(["cylinder", str(tmp_path / "m.json"),
+                          "--out", str(tmp_path / "out.json")],
+                         stream=_io.StringIO())
+    assert status == 2
+    assert "error" in report
+
+
 def test_cli_fill_horns(tmp_path):
     path = _write(tmp_path, "pt.json", dsx.standard("simplex", 0))
     out = _io.StringIO()
@@ -272,3 +343,30 @@ def test_cli_report_file(tmp_path):
     assert data["checks"] == report["checks"]
     # serialization round-trips losslessly apart from nothing at all
     assert json.loads(json.dumps(data)) == data
+
+
+# SHA-256 of the files emitted by `dsx moore --p 3 --power 2 --emit DIR`
+# and by `dsx smash` of the emitted M with itself; they pin cell order,
+# names and faces of the product, smash and symmetric-power constructions
+GOLDEN_DIGESTS = {
+    "moore_p3.json":
+        "4178147702428d26a2647e9b752e9fa3b56b97541326e357ed10d63282b99529",
+    "moore_p3_power2.json":
+        "3bff1bf3be9715b8ecd3e9f2733bf42b309d9186bb02a3bd94b87db498fd5905",
+    "mm.json":
+        "2e778b2d275e23e3699aab776cc5537c7fb21a075771838ee8f12a4b7e672248",
+}
+
+
+def test_cli_emitted_files_match_golden_digests(tmp_path):
+    out = _io.StringIO()
+    status, _ = run(["moore", "--p", "3", "--power", "2",
+                     "--emit", str(tmp_path)], stream=out)
+    assert status == 0
+    m = str(tmp_path / "moore_p3.json")
+    status, _ = run(["smash", m, m, "-o", str(tmp_path / "mm.json")],
+                    stream=out)
+    assert status == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes())
+               .hexdigest() for name in GOLDEN_DIGESTS}
+    assert digests == GOLDEN_DIGESTS

@@ -161,13 +161,10 @@ def test_symmetric_square_of_circle():
 
 def test_sigma_action_commutes_with_faces_exhaustively(moore3_p2):
     # re-run the representative-independence check by hand on P^2
-    from itertools import permutations
     from dsx.moore import _orbit_rep, orbit_cell_name
     from dsx.products import cell_data
-    M = moore3_p2.M
     W = moore3_p2.powers._smash_powers[2]
     P2 = moore3_p2.power(2)
-    perms = list(permutations(range(2)))
     om = moore3_p2.powers._orbit_maps[2]
     for d, s in W.all_cells():
         if d == 0:
@@ -178,7 +175,7 @@ def test_sigma_action_commutes_with_faces_exhaustively(moore3_p2):
         xs, pts = cell_data(W, s)
         swapped_xs = (xs[1], xs[0])
         swapped_pts = tuple((b, a) for a, b in pts)
-        rep = _orbit_rep(swapped_xs, swapped_pts, perms)
+        rep = _orbit_rep(swapped_xs, swapped_pts)
         assert orbit_cell_name(rep) == om[s]
 
 
@@ -193,6 +190,20 @@ def test_power_projection_associativity_generic():
 def test_projection_is_valid_morphism(moore3_p2):
     mu = moore3_p2.projection(1, 1)
     assert mu.validate() == []
+
+
+def test_projection_one_one_is_the_orbit_map(moore3_p2):
+    from dsx.moore import orbit_cell_name
+    from dsx.products import cell_data
+    ps = moore3_p2.powers
+    mu = moore3_p2.projection(1, 1)
+    assert mu.source is ps._smash_powers[2]
+    assert set(mu.mapping) == set(mu.source.dim_of)
+    for d, s in mu.source.all_cells():
+        xs, pts = cell_data(mu.source, s)
+        assert mu.mapping[s] == ps.orbit_name(2, xs, pts)
+        swapped = ((xs[1], xs[0]), tuple((b, a) for a, b in pts))
+        assert mu.mapping[s] == orbit_cell_name(min((xs, pts), swapped))
 
 
 def test_p2_certification(moore3_p2):

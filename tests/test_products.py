@@ -3,7 +3,7 @@ from itertools import combinations, product as iproduct
 import pytest
 
 import dsx
-from dsx.products import cell_data, cell_name
+from dsx.products import _face_table, cell_data, cell_name, charts
 
 from conftest import random_two_dim_delta
 
@@ -41,7 +41,9 @@ def injective_monotone_chains(dims, surjective=True):
 def normalize_triple(factors, xs, pts):
     """Test-local normalization of a raw triple: factor each chart
     component through its image and push the injective part into the
-    factor as iterated faces (largest index first)."""
+    factor as iterated faces (largest index first).  None when a factor
+    reaches the basepoint (based factors).  Applied to a chart with one
+    point dropped, this is the brute-force reference for product faces."""
     r = len(xs)
     new_xs = []
     comps = []
@@ -53,6 +55,8 @@ def normalize_triple(factors, xs, pts):
         for miss in sorted((v for v in range(dim + 1) if v not in used),
                            reverse=True):
             x = factors[t].faces[x][miss]
+            if x is None:
+                return None
         new_xs.append(x)
         lookup = {v: k for k, v in enumerate(used)}
         comps.append([lookup[v] for v in vals])
@@ -129,6 +133,43 @@ def test_square_counts_against_enumeration():
 def test_charts_match_enumeration_small():
     for dims in ((1, 1), (2, 1), (2, 2), (1, 1, 1)):
         assert sorted(dsx.charts(dims)) == sorted(injective_monotone_chains(dims))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_face_table_matches_reference(r):
+    # each factor is the standard simplex of its dim, so the reference's
+    # iterated faces name the vertices lost, and a factor losing two
+    # vertices would show as a face of the wrong dimension
+    simplices = [dsx.standard("simplex", d) for d in range(4)]
+    for dims in iproduct(range(4), repeat=r):
+        deltas = [simplices[d] for d in dims]
+        xs = tuple(K.cells(K.top_dim)[0] for K in deltas)
+        table = _face_table(dims)
+        assert len(table) == len(charts(dims))
+        for pts, entries in zip(charts(dims), table):
+            assert len(entries) == (len(pts) if len(pts) > 1 else 0)
+            for i, (lost, j) in enumerate(entries):
+                want_xs, want_pts = normalize_triple(
+                    deltas, xs, pts[:i] + pts[i + 1:])
+                face_dims = tuple(d - (m is not None)
+                                  for d, m in zip(dims, lost))
+                assert charts(face_dims)[j] == want_pts
+                assert tuple(x if m is None else K.faces[x][m]
+                             for K, x, m in zip(deltas, xs, lost)) == want_xs
+
+
+def test_assembled_faces_match_reference(moore3):
+    M = moore3.M
+    MM = dsx.smash(M, M)
+    basepoint_faces = 0
+    for d, s in MM.all_cells():
+        xs, pts = cell_data(MM, s)
+        for i in range(d + 1 if d else 0):
+            key = normalize_triple([M, M], xs, pts[:i] + pts[i + 1:])
+            want = None if key is None else cell_name(*key)
+            assert MM.faces[s][i] == want
+            basepoint_faces += want is None
+    assert basepoint_faces > 0
 
 
 def test_unit_isomorphism():
