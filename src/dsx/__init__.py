@@ -7,10 +7,7 @@ from .delta import (DeltaSet, DeltaMorphism, SubDeltaSet, EMPTY,
                     pushout, disjoint_union, cycle_graph,
                     from_simplicial_complex, identity_morphism,
                     inclusion_morphism)
-from .based import (BasedDeltaSet, BasedMorphism, BASED_POINT,
-                    validate_based, is_valid_based, based_identity,
-                    based_skeleton, based_quotient, based_pushout,
-                    finite_model, forget_basepoint, lift_to_model)
+from .based import based_quotient, finite_model
 from .products import (geometric_product, n_ary_product, unit_iso,
                        unit_iso_inverse, symmetry_iso, assoc_iso_nary,
                        assoc_iso_nary_right, product_morphism,

@@ -15,16 +15,13 @@ import sys
 import time
 
 from . import io as dio
-from .based import BasedDeltaSet
-from .delta import validate as validate_delta
-from .based import validate_based
+from .delta import SubDeltaSet, validate
 from .dgred import order_tower, reduce_mod_n, uv_identities
 from .homology import bockstein, certify_moore, homology_of, homology_table
 from .moore import MooreSystem
 from .moves import BudgetExhausted, cone, find_collapse_sequence, \
     fill_horns, mapping_cylinder
 from .products import geometric_product, smash
-from .delta import SubDeltaSet
 
 
 class _CliError(Exception):
@@ -142,8 +139,7 @@ def _homology_args(ns):
 
 def _cmd_validate(ns, report):
     K = dio.read_delta(ns.file)  # loader refuses invalid files
-    violations = (validate_based(K) if isinstance(K, BasedDeltaSet)
-                  else validate_delta(K))
+    violations = validate(K)
     report["tables"]["counts"] = list(K.counts())
     return _check(report, "semisimplicial-identity", not violations,
                   violations=violations[:10])
@@ -151,7 +147,7 @@ def _cmd_validate(ns, report):
 
 def _cmd_product(ns, report):
     A, B = dio.read_delta(ns.a), dio.read_delta(ns.b)
-    if isinstance(A, BasedDeltaSet) or isinstance(B, BasedDeltaSet):
+    if A.based or B.based:
         raise _CliError("product expects unbased files (use smash)", 2)
     P = geometric_product(A, B)
     dio.write_delta(P, ns.out)
@@ -165,18 +161,18 @@ def _cmd_product(ns, report):
 
 def _cmd_smash(ns, report):
     A, B = dio.read_delta(ns.a), dio.read_delta(ns.b)
-    if not (isinstance(A, BasedDeltaSet) and isinstance(B, BasedDeltaSet)):
+    if not (A.based and B.based):
         raise _CliError("smash expects based files", 2)
     P = smash(A, B)
     dio.write_delta(P, ns.out)
     report["tables"]["counts"] = list(P.counts())
     report["outputs"] = {"delta": ns.out}
-    return _check(report, "smash-valid", not validate_based(P))
+    return _check(report, "smash-valid", not validate(P))
 
 
 def _cmd_cone(ns, report):
     K = dio.read_delta(ns.file)
-    if isinstance(K, BasedDeltaSet):
+    if K.based:
         raise _CliError("cone expects an unbased file", 2)
     CK, incl, cert = cone(K)
     dio.write_delta(CK, ns.out)
@@ -191,7 +187,7 @@ def _cmd_cone(ns, report):
 
 def _cmd_cylinder(ns, report):
     f = dio.read_morphism(ns.morphism)
-    if isinstance(f.source, BasedDeltaSet):
+    if f.source.based:
         raise _CliError("cylinder expects an unbased morphism", 2)
     Mf, g, j, i0, i1, cert = mapping_cylinder(f)
     dio.write_delta(Mf, ns.out)
@@ -208,7 +204,7 @@ def _cmd_cylinder(ns, report):
 def _cmd_certify(ns, report):
     K = dio.read_delta(ns.sub)
     L = dio.read_delta(ns.ambient)
-    if isinstance(K, BasedDeltaSet) or isinstance(L, BasedDeltaSet):
+    if K.based or L.based:
         raise _CliError("certify expects unbased files", 2)
     for s in K.dim_of:
         if L.dim_of.get(s) != K.dim_of[s]:
@@ -247,7 +243,7 @@ def _cmd_certify(ns, report):
 
 def _cmd_fill_horns(ns, report):
     K = dio.read_delta(ns.file)
-    if isinstance(K, BasedDeltaSet):
+    if K.based:
         raise _CliError("fill-horns expects an unbased file", 2)
     out, cert = fill_horns(K, ns.max_dim, ns.rounds)
     dio.write_delta(out, ns.out)
@@ -260,7 +256,7 @@ def _cmd_fill_horns(ns, report):
 def _cmd_homology(ns, report):
     K = dio.read_delta(ns.file)
     coeff, p = _homology_args(ns)
-    reduced = ns.reduced or isinstance(K, BasedDeltaSet)
+    reduced = ns.reduced or K.based
     groups = homology_of(K, coeff=coeff, p=p, reduced=reduced)
     report["tables"]["homology"] = _table(homology_table(groups))
     report["checks"].append({"name": "homology", "verdict": "PASS"})
@@ -269,7 +265,7 @@ def _cmd_homology(ns, report):
 
 def _cmd_bockstein(ns, report):
     K = dio.read_delta(ns.file)
-    if not isinstance(K, BasedDeltaSet):
+    if not K.based:
         raise _CliError("bockstein expects a based file", 2)
     entry = bockstein(K, ns.p, ns.degree)
     report["tables"]["bockstein"] = {

@@ -1,9 +1,16 @@
-"""Finite semisimplicial sets (Delta-sets): representation and validation.
+"""Finite semisimplicial sets (Delta-sets), based or not: representation,
+validation, morphisms and pushouts.
 
 A Delta-set is stored by its simplex identifiers per dimension together with
 a face table.  Face maps must satisfy the semisimplicial identity
 
     face(face(x, j), i) == face(face(x, i), j - 1)   for i < j.
+
+A based Delta-set (based=True) carries a basepoint in every dimension,
+preserved by all face maps.  Only its non-basepoint simplices are stored; a
+face entry of None denotes the basepoint, and the identity is read with
+face(*, i) = *.  An unbased set has no None faces, and a morphism may send a
+simplex to the basepoint (None) only when its target is based.
 
 Objects are immutable after construction; every operation returns new
 values.  Constructors check referential integrity (faces exist and have the
@@ -66,12 +73,14 @@ class DeltaSet:
     """Finite Delta-set: per-dimension simplex lists plus a face table.
 
     faces[name] is the tuple (x d_0, ..., x d_n) for an n-simplex x; the
-    face entries of vertices are empty tuples.
+    face entries of vertices are empty tuples.  In a based set a face entry
+    may be None, the basepoint, which is not listed among the simplices.
     """
 
-    __slots__ = ("simplices", "faces", "dim_of", "top_dim", "_sort_keys")
+    __slots__ = ("simplices", "faces", "dim_of", "top_dim", "based",
+                 "_sort_keys")
 
-    def __init__(self, simplices, faces, sort_keys=None):
+    def __init__(self, simplices, faces, sort_keys=None, based=False):
         """simplices: dict dim -> iterable of names; faces: name -> tuple.
 
         sort_keys optionally maps names to orderable keys encoding the
@@ -82,6 +91,7 @@ class DeltaSet:
         """
         keyed = dict(sort_keys) if sort_keys else {}
         self._sort_keys = keyed
+        self.based = based
         self.simplices = {}
         self.dim_of = {}
         for d in sorted(simplices):
@@ -97,10 +107,11 @@ class DeltaSet:
         self.faces = {}
         for s, d in self.dim_of.items():
             fs = tuple(faces.get(s, ()))
-            if len(fs) != (d + 1 if d > 0 else 0) and d > 0:
+            if d > 0 and len(fs) != d + 1:
                 raise ValueError(f"simplex {s!r} of dim {d} has {len(fs)} faces")
             for f in fs:
-                if self.dim_of.get(f) != d - 1:
+                if self.dim_of.get(f) != d - 1 and (f is not None or
+                                                    not based):
                     raise ValueError(
                         f"face {f!r} of {s!r} is not a simplex of dim {d - 1}")
             self.faces[s] = fs if d > 0 else ()
@@ -126,12 +137,15 @@ class DeltaSet:
                      for d in range(self.top_dim + 1))
 
     def face(self, s, i):
-        return self.faces[s][i]
+        """Face i of s; the basepoint (None) is its own face."""
+        return None if s is None else self.faces[s][i]
 
     def iterated_face(self, s, missing):
         """Apply the injective monotone map skipping `missing` (a set of
         indices): faces are taken in decreasing index order."""
         for i in sorted(missing, reverse=True):
+            if s is None:
+                break
             s = self.faces[s][i]
         return s
 
@@ -139,37 +153,44 @@ class DeltaSet:
         return self._sort_keys.get(s, (s,))
 
     def euler_characteristic(self):
+        """The Euler characteristic; of a based set, the reduced one (the
+        basepoint is not counted)."""
         return sum((-1) ** d * len(v) for d, v in self.simplices.items())
 
     def __eq__(self, other):
         if not isinstance(other, DeltaSet):
             return NotImplemented
-        return self.simplices == other.simplices and self.faces == other.faces
+        return (self.based == other.based and self.simplices == other.simplices
+                and self.faces == other.faces)
 
     def __hash__(self):
         return hash((tuple(sorted(self.simplices.items())),))
 
     def __repr__(self):
-        return f"DeltaSet(counts={self.counts()})"
+        based = ", based=True" if self.based else ""
+        return f"DeltaSet(counts={self.counts()}{based})"
 
 
 EMPTY = DeltaSet({}, {})
 
 
 def validate(K):
-    """Diagnostic report for the semisimplicial identity.
+    """Diagnostic report for the semisimplicial identity, read with
+    face(*, i) = * in a based set.
 
     Returns a list of violation records; empty iff K is a valid Delta-set.
     Referential integrity is already enforced by the constructor.
     """
     report = []
+    faces = K.faces
     for d, x in K.all_cells():
         if d < 2:
             continue
-        fx = K.faces[x]
+        fx = faces[x]
         for i, j in combinations(range(d + 1), 2):
-            left = K.faces[fx[j]][i]
-            right = K.faces[fx[i]][j - 1]
+            a, b = fx[j], fx[i]
+            left = None if a is None else faces[a][i]
+            right = None if b is None else faces[b][j - 1]
             if left != right:
                 report.append({
                     "simplex": x, "i": i, "j": j,
@@ -267,7 +288,8 @@ def from_simplicial_complex(maximal):
 # ---------------------------------------------------------------------------
 
 class SubDeltaSet:
-    """A face-closed subset of a parent Delta-set's simplices."""
+    """A face-closed subset of a parent Delta-set's simplices (the
+    basepoint of a based parent always belongs to it)."""
 
     __slots__ = ("parent", "members")
 
@@ -277,7 +299,7 @@ class SubDeltaSet:
             if s not in parent.dim_of:
                 raise ValueError(f"{s!r} is not a simplex of the parent")
             for f in parent.faces[s]:
-                if f not in members:
+                if f is not None and f not in members:
                     raise ValueError(
                         f"members not face-closed: {s!r} has face {f!r} outside")
         self.parent = parent
@@ -292,7 +314,8 @@ class SubDeltaSet:
             simplices.setdefault(d, []).append(s)
             faces[s] = self.parent.faces[s]
             keys[s] = self.parent.sort_key(s)
-        return DeltaSet(simplices, faces, sort_keys=keys)
+        return DeltaSet(simplices, faces, sort_keys=keys,
+                        based=self.parent.based)
 
     def __contains__(self, s):
         return s in self.members
@@ -312,7 +335,8 @@ def skeleton(K, m):
 # ---------------------------------------------------------------------------
 
 class DeltaMorphism:
-    """Dimension-preserving simplex map commuting with all faces."""
+    """Dimension-preserving simplex map commuting with all faces; into a
+    based target a simplex may go to the basepoint (None)."""
 
     __slots__ = ("source", "target", "mapping")
 
@@ -327,36 +351,50 @@ class DeltaMorphism:
 
     def validate(self):
         problems = []
+        m = self.mapping
+        tgt = self.target
         for d, s in self.source.all_cells():
-            t = self.mapping.get(s)
-            if t is None:
+            if s not in m:
                 problems.append(f"no image for {s!r}")
                 continue
-            if self.target.dim_of.get(t) != d:
+            t = m[s]
+            if t is None:
+                if not tgt.based:
+                    problems.append(f"image of {s!r} is the basepoint of an "
+                                    f"unbased target")
+                    continue
+                want = (None,) * (d + 1) if d else ()
+            elif tgt.dim_of.get(t) != d:
                 problems.append(f"image of {s!r} has wrong dimension")
                 continue
-            for i in range(d + 1) if d else ():
-                if self.mapping.get(self.source.faces[s][i]) != \
-                        self.target.faces[t][i]:
-                    problems.append(f"face {i} of {s!r} does not commute")
+            else:
+                want = tgt.faces[t]
+            got = tuple(None if f is None else m.get(f)
+                        for f in self.source.faces[s])
+            if got != want:
+                problems.extend(f"face {i} of {s!r} does not commute"
+                                for i, (g, w) in enumerate(zip(got, want))
+                                if g != w)
         return problems
 
     def __call__(self, s):
-        return self.mapping[s]
+        return None if s is None else self.mapping[s]
 
     def compose(self, other):
         """self o other (other applied first)."""
         if other.target is not self.source and other.target != self.source:
             raise ValueError("composition mismatch")
+        m = self.mapping
         return DeltaMorphism(
             other.source, self.target,
-            {s: self.mapping[t] for s, t in other.mapping.items()},
+            {s: None if t is None else m[t] for s, t in other.mapping.items()},
             check=False)
 
     def is_injective(self):
+        """Injective on simplices, with no simplex sent to the basepoint."""
         for d in self.source.simplices:
             imgs = [self.mapping[s] for s in self.source.simplices[d]]
-            if len(set(imgs)) != len(imgs):
+            if None in imgs or len(set(imgs)) != len(imgs):
                 return False
         return True
 
@@ -387,25 +425,6 @@ def inclusion_morphism(sub, ambient=None):
 # pushouts
 # ---------------------------------------------------------------------------
 
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        p = self.parent
-        root = x
-        while p.setdefault(root, root) != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
 class PushoutResult:
     """Pushout of B <-j- A -f-> C along a monomorphism j.
 
@@ -423,70 +442,58 @@ class PushoutResult:
 
     def induced(self, u, v):
         mapping = {}
-        for b, pb in self.leg_b.mapping.items():
-            t = u.mapping[b]
-            if mapping.setdefault(pb, t) != t:
-                raise ValueError(f"cocone not compatible at {pb!r}")
-        for c, pc in self.leg_c.mapping.items():
-            t = v.mapping[c]
-            if mapping.setdefault(pc, t) != t:
-                raise ValueError(f"cocone not compatible at {pc!r}")
+        for leg, w in ((self.leg_b, u), (self.leg_c, v)):
+            for x, px in leg.mapping.items():
+                t = w.mapping[x]
+                if px is None:  # the basepoint of P goes to the basepoint
+                    if t is not None:
+                        raise ValueError(f"cocone not based at {x!r}")
+                elif mapping.setdefault(px, t) != t:
+                    raise ValueError(f"cocone not compatible at {px!r}")
         return DeltaMorphism(self.delta, u.target, mapping)
 
 
 def pushout(j, f):
     """Set-level pushout in each dimension with induced faces.
 
-    j must be injective; j and f share their source.  Computed by
-    union-find on the disjoint union of the simplex sets of j.target and
-    f.target; class representatives prefer the f.target (C-side) name, so
-    the leg opposite j is injective.
+    j must be injective; j and f share their source.  Because j is
+    injective, each cell of P is one cell of C = f.target together with
+    the cells j(a) for the a that f sends to it, or a cell of B = j.target
+    outside the image of j (prefixed by "B:" until its name is new if it
+    clashes with a C name).  A
+    cell j(a) with f(a) the basepoint goes to the basepoint.  C's names are
+    kept, so the leg opposite j is injective.
     """
     if j.source is not f.source and j.source != f.source:
         raise ValueError("pushout legs must share their source")
     if not j.is_injective():
         raise ValueError("pushout requires the first leg to be injective")
     B, C = j.target, f.target
-    uf = _UnionFind()
-    for a in j.source.dim_of:
-        uf.union(("B", j.mapping[a]), ("C", f.mapping[a]))
-
-    class_name = {}
-    class_key = {}
-    for s in C.dim_of:
-        root = uf.find(("C", s))
-        class_name[root] = s
-        class_key[root] = (0, C.sort_key(s))
-    for s in B.dim_of:
-        root = uf.find(("B", s))
-        if root not in class_name:
-            # B-only classes are singletons (merges always pass through C);
-            # disambiguate against C-side names if needed.
-            name = s
-            while name in C.dim_of:
-                name = "B:" + name
-            class_name[root] = name
-            class_key[root] = (1, B.sort_key(s))
-
-    def rep(side, s):
-        return class_name[uf.find((side, s))]
-
+    image = {j.mapping[a]: f.mapping[a] for a in j.source.dim_of}
     simplices = {}
     faces = {}
     keys = {}
-    for side, K in (("C", C), ("B", B)):
-        for d, s in K.all_cells():
-            name = rep(side, s)
-            if name in keys:
-                continue
-            simplices.setdefault(d, []).append(name)
-            keys[name] = class_key[uf.find((side, s))]
-            faces[name] = tuple(rep(side, fc) for fc in K.faces[s])
-    P = DeltaSet(simplices, faces, sort_keys=keys)
-    leg_b = DeltaMorphism(B, P, {s: rep("B", s) for s in B.dim_of},
-                          check=False)
-    leg_c = DeltaMorphism(C, P, {s: rep("C", s) for s in C.dim_of},
-                          check=False)
+    for d, s in C.all_cells():
+        simplices.setdefault(d, []).append(s)
+        faces[s] = C.faces[s]
+        keys[s] = (0, C.sort_key(s))
+    outside = [(d, s) for d, s in B.all_cells() if s not in image]
+    taken = set(C.dim_of).union(s for _, s in outside)
+    for d, s in outside:
+        name = s
+        if s in C.dim_of:
+            while name in taken:
+                name = "B:" + name
+            taken.add(name)
+        image[s] = name
+        simplices.setdefault(d, []).append(name)
+        keys[name] = (1, B.sort_key(s))
+    for d, s in outside:
+        faces[image[s]] = tuple(None if fc is None else image[fc]
+                                for fc in B.faces[s])
+    P = DeltaSet(simplices, faces, sort_keys=keys, based=B.based or C.based)
+    leg_b = DeltaMorphism(B, P, {s: image[s] for s in B.dim_of}, check=False)
+    leg_c = DeltaMorphism(C, P, {s: s for s in C.dim_of}, check=False)
     return PushoutResult(P, leg_b, leg_c)
 
 

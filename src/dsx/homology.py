@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from . import exact
 from .delta import DeltaSet
-from .based import BasedDeltaSet
 
 
 def is_prime(p):
@@ -120,9 +119,9 @@ def chain_complex(K, reduced=False):
     generator in degree 0 (the unreduced homology of the reduced
     realization).
     """
-    based = isinstance(K, BasedDeltaSet)
-    if not based and not isinstance(K, DeltaSet):
-        raise TypeError("expected a DeltaSet or BasedDeltaSet")
+    if not isinstance(K, DeltaSet):
+        raise TypeError("expected a DeltaSet")
+    based = K.based
     top = K.top_dim
     basis = {}
     index = {}
@@ -228,7 +227,7 @@ def homology_of(K, coeff="Z", p=None, reduced=None):
     """Homology directly from a (based) Delta-set; reduced defaults to True
     for based inputs and False otherwise."""
     if reduced is None:
-        reduced = isinstance(K, BasedDeltaSet)
+        reduced = K.based
     return homology(chain_complex(K, reduced=reduced), coeff=coeff, p=p)
 
 
@@ -251,9 +250,8 @@ def is_acyclic(C, coeff="Z", p=None):
 def chain_map_matrices(f, reduced=None):
     """Per-degree COO matrices (target x source) of the chain map induced
     by a (based) Delta-morphism; basepoint images contribute zero."""
-    based = isinstance(f.source, BasedDeltaSet)
     if reduced is None:
-        reduced = based
+        reduced = f.source.based
     CS = chain_complex(f.source, reduced=reduced)
     CT = chain_complex(f.target, reduced=reduced)
     mats = {}

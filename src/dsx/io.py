@@ -3,9 +3,12 @@
 Delta-set file:
     { "dims": N, "simplices": { "0": [names...], ... },
       "faces": { name: [face_0, ..., face_n] } }
-Based Delta-sets add "based": true and use the literal face entry "*" for
-the basepoint.  Morphism file:
+A based Delta-set (DeltaSet.based) adds "based": true, and its face entry
+"*" is the basepoint, a None face in memory.  Morphism file:
     { "source": path, "target": path, "map": { name: name-or-"*" } }
+where source and target are both based or both unbased, every key is a
+source simplex, and "*" (the basepoint, None) is allowed only in a based
+target.
 Chain-complex file:
     { "degrees": [lo, hi], "ranks": [...],
       "boundaries": { "k": row-major matrix of d_k : C_k -> C_{k-1} } }
@@ -14,7 +17,7 @@ Certificate file: ordered move list with simplex names and face indices.
 Loaders validate and refuse invalid files (SchemaError): besides the
 semisimplicial identity, a Delta-set file may give faces only for declared
 simplices, and its optional "dims" must be the top dimension with simplices
-(-1 when there are none).
+(-1 when there are none); a morphism must be a valid DeltaMorphism.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import json
 import os
 
 from .delta import DeltaSet, DeltaMorphism, validate
-from .based import BasedDeltaSet, BasedMorphism, validate_based
 from .homology import ChainComplex
 from .moves import Move, ExpansionCertificate
 
@@ -56,7 +58,6 @@ def _write_json(data, path):
 
 
 def delta_to_dict(K):
-    based = isinstance(K, BasedDeltaSet)
     faces = {}
     for d, s in K.all_cells():
         if d == 0:
@@ -67,7 +68,7 @@ def delta_to_dict(K):
         "simplices": {str(d): list(K.simplices[d]) for d in sorted(K.simplices)},
         "faces": faces,
     }
-    if based:
+    if K.based:
         out["based"] = True
     return out
 
@@ -94,19 +95,12 @@ def delta_from_dict(data):
     for s, fs in raw_faces.items():
         if not isinstance(fs, list) or not all(isinstance(f, str) for f in fs):
             raise SchemaError(f"faces of {s!r} are not a list of names")
-        if based:
-            faces[s] = tuple(None if f == BASEPOINT else f for f in fs)
-        else:
-            if any(f == BASEPOINT for f in fs):
-                raise SchemaError("'*' face entry in an unbased file")
-            faces[s] = tuple(fs)
+        if not based and BASEPOINT in fs:
+            raise SchemaError("'*' face entry in an unbased file")
+        faces[s] = tuple(None if f == BASEPOINT else f for f in fs)
     try:
-        if based:
-            K = BasedDeltaSet(simplices, faces)
-            report = validate_based(K)
-        else:
-            K = DeltaSet(simplices, faces)
-            report = validate(K)
+        K = DeltaSet(simplices, faces, based=based)
+        report = validate(K)
     except ValueError as exc:
         raise SchemaError(f"invalid Delta-set: {exc}") from None
     undeclared = [s for s in faces if s not in K.dim_of]
@@ -150,16 +144,17 @@ def read_morphism(path):
     base = os.path.dirname(os.path.abspath(path))
     src = read_delta(os.path.join(base, data["source"]))
     tgt = read_delta(os.path.join(base, data["target"]))
-    based = isinstance(src, BasedDeltaSet)
-    if based != isinstance(tgt, BasedDeltaSet):
+    if src.based != tgt.based:
         raise SchemaError("morphism mixes based and unbased Delta-sets")
+    strays = [s for s in raw_map if s not in src.dim_of]
+    if strays:
+        raise SchemaError(f"morphism file {path}: {strays[:3]} are not "
+                          f"simplices of the source")
     mapping = {s: (None if t == BASEPOINT else t) for s, t in raw_map.items()}
     try:
-        if based:
-            return BasedMorphism(src, tgt, mapping)
         return DeltaMorphism(src, tgt, mapping)
-    except ValueError as exc:
-        raise SchemaError(f"invalid morphism: {exc}") from None
+    except ValueError as exc:  # "invalid morphism: [problems]"
+        raise SchemaError(str(exc)) from None
 
 
 def complex_to_dict(C):

@@ -17,9 +17,9 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations
 
-from .delta import DeltaSet, DeltaMorphism, standard
-from .based import (BasedDeltaSet, BasedMorphism, based_pushout,
-                    based_quotient, finite_model, basepoint_name)
+from .delta import DeltaSet, DeltaMorphism, identity_morphism, pushout, \
+    standard
+from .based import based_quotient, finite_model, basepoint_name
 from .products import (smash, n_ary_smash, n_ary_product, cell_name,
                        cell_data, smash_morphism, smash_morphism_left)
 from .moves import ExpansionCertificate, Move
@@ -33,14 +33,14 @@ from .homology import (certify_moore, is_homology_iso, induced_map,
 
 def interval():
     """I: one non-basepoint edge z with z d_0 = *, z d_1 = v."""
-    return BasedDeltaSet({0: ["v"], 1: ["z"]}, {"z": (None, "v")},
-                         sort_keys={"v": (0,), "z": (0,)})
+    return DeltaSet({0: ["v"], 1: ["z"]}, {"z": (None, "v")},
+                    sort_keys={"v": (0,), "z": (0,)}, based=True)
 
 
 def circle():
     """S1: a single non-basepoint 1-simplex with both faces at the basepoint."""
-    return BasedDeltaSet({1: ["z"]}, {"z": (None, None)},
-                         sort_keys={"z": (0,)})
+    return DeltaSet({1: ["z"]}, {"z": (None, None)}, sort_keys={"z": (0,)},
+                    based=True)
 
 
 def sphere2():
@@ -62,7 +62,7 @@ def s_bracket(n):
         faces[f"f{k}"] = (lo, hi)
     keys = {f"e{k}": (0, k) for k in range(1, n)}
     keys.update({f"f{k}": (1, k) for k in range(n)})
-    return BasedDeltaSet(simplices, faces, sort_keys=keys)
+    return DeltaSet(simplices, faces, sort_keys=keys, based=True)
 
 
 def psi(i, n):
@@ -71,7 +71,7 @@ def psi(i, n):
     i %= n
     mapping = {f"f{k}": ("z" if k == i else None) for k in range(n)}
     mapping.update({f"e{k}": None for k in range(1, n)})
-    return BasedMorphism(S, C, mapping)
+    return DeltaMorphism(S, C, mapping)
 
 
 def nabla(n):
@@ -79,7 +79,7 @@ def nabla(n):
     S, C = s_bracket(n), circle()
     mapping = {f"f{k}": "z" for k in range(n)}
     mapping.update({f"e{k}": None for k in range(1, n)})
-    return BasedMorphism(S, C, mapping)
+    return DeltaMorphism(S, C, mapping)
 
 
 def psi_quotient_square(i, n):
@@ -89,7 +89,7 @@ def psi_quotient_square(i, n):
     i %= n
     collapse = [s for s in S.dim_of if s != f"f{i}"]
     Q = based_quotient(S, collapse)
-    comparison = BasedMorphism(Q, circle(), {f"f{i}": "z"})
+    comparison = DeltaMorphism(Q, circle(), {f"f{i}": "z"})
     return Q, comparison
 
 
@@ -107,7 +107,7 @@ def based_cone(X):
     for d, x in X.all_cells():
         pts = tuple((0, k) for k in range(d + 1))
         mapping[x] = cell_name(("v", x), pts)
-    return IX, BasedMorphism(X, IX, mapping)
+    return IX, DeltaMorphism(X, IX, mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +120,7 @@ def hat_circle():
     faces = {"z": (None, None), "g": (None, None), "g'": (None, None),
              "c": (None, "g", "z"), "c'": ("z", "g'", None)}
     keys = {"z": (0,), "g": (1,), "g'": (2,), "c": (0,), "c'": (1,)}
-    return BasedDeltaSet(simplices, faces, sort_keys=keys)
+    return DeltaSet(simplices, faces, sort_keys=keys, based=True)
 
 
 def hat_circle_expansion_certificate():
@@ -264,7 +264,7 @@ def moore_space(n):
     X = smash(S1, s_bracket(n))
     CX, iX = based_cone(X)
     f = smash_morphism_left(S1, nabla(n))  # S1 /\ S<n> -> S2
-    po = based_pushout(iX, f)
+    po = pushout(iX, f)
     M, iota = po.delta, po.leg_c
     ok, table = certify_moore(M, n, 2)
     if not ok:
@@ -297,18 +297,19 @@ def orbit_cell_name(rep):
     return "O" + cell_name(*rep)
 
 
-def symmetric_power_of(X, i, verify=True):
+def symmetric_power_of(X, i):
     """The orbit Delta-set X^(/\\ i) / Sigma_i.
 
-    Returns (P, orbit_map, W) where W is the smash power and orbit_map
-    sends W-cells to orbit names.  With verify=True the face tuples of all
-    members of each orbit are compared after projection: a mismatch would
-    mean the action fails to commute with faces and is a hard error.
+    Returns (P, orbit_map, W) where W is the smash power and orbit_map is
+    the morphism W -> P sending each cell to its orbit.  Building it checks,
+    cell by cell, that the projected faces of every member of an orbit are
+    the faces of the orbit: a mismatch would mean the action fails to
+    commute with faces and raises ValueError.
     """
     if i < 1:
         raise ValueError("power index must be >= 1")
     if i == 1:
-        return X, {s: s for s in X.dim_of}, X
+        return X, identity_morphism(X), X
     W = n_ary_smash([X] * i)
     orbit_map = {}
     reps = {}
@@ -329,17 +330,8 @@ def symmetric_power_of(X, i, verify=True):
             faces[name] = tuple(
                 None if f is None else orbit_map[f]
                 for f in W.faces[member])
-    P = BasedDeltaSet(simplices, faces, sort_keys=keys)
-    if verify:
-        for d, s in W.all_cells():
-            if d == 0:
-                continue
-            projected = tuple(None if f is None else orbit_map[f]
-                              for f in W.faces[s])
-            if projected != P.faces[orbit_map[s]]:
-                raise AssertionError(
-                    f"orbit face depends on the representative at {s!r}")
-    return P, orbit_map, W
+    P = DeltaSet(simplices, faces, sort_keys=keys, based=True)
+    return P, DeltaMorphism(W, P, orbit_map), W
 
 
 class PowerSystem:
@@ -349,16 +341,15 @@ class PowerSystem:
     def __init__(self, X):
         self.X = X
         self._powers = {1: X}
-        self._orbit_maps = {1: {s: s for s in X.dim_of}}
-        self._smash_powers = {1: X}
         self._projections = {}
 
     def power(self, i):
         if i not in self._powers:
-            P, om, W = symmetric_power_of(self.X, i)
+            P, orbit_map, _ = symmetric_power_of(self.X, i)
             self._powers[i] = P
-            self._orbit_maps[i] = om
-            self._smash_powers[i] = W
+            if i == 2:
+                # mu_{1,1} is the orbit map of the smash square onto P^2
+                self._projections[(1, 1)] = orbit_map
         return self._powers[i]
 
     def power_rep(self, i, cell):
@@ -377,17 +368,10 @@ class PowerSystem:
     def projection(self, i, j):
         """mu_{i,j}, the canonical projection P^i /\\ P^j -> P^{i+j}."""
         key = (i, j)
+        Pi, Pj = self.power(i), self.power(j)
+        target = self.power(i + j)  # builds mu_{1,1} along with P^2
         if key in self._projections:
             return self._projections[key]
-        Pi, Pj = self.power(i), self.power(j)
-        target = self.power(i + j)
-        if (i, j) == (1, 1):
-            # the source is the smash square W, and mu_{1,1} is the orbit
-            # map symmetric_power_of already built for P^2
-            mu = BasedMorphism(self._smash_powers[2], target,
-                               self._orbit_maps[2])
-            self._projections[key] = mu
-            return mu
         source = smash(Pi, Pj)
         mapping = {}
         for d, s in source.all_cells():
@@ -397,7 +381,7 @@ class PowerSystem:
             xs = ra_xs + rb_xs
             pts = tuple(ra_pts[u] + rb_pts[v] for (u, v) in psi)
             mapping[s] = self.orbit_name(i + j, xs, pts)
-        mu = BasedMorphism(source, target, mapping)
+        mu = DeltaMorphism(source, target, mapping)
         self._projections[key] = mu
         return mu
 
@@ -466,7 +450,7 @@ class MooreSystem:
             mx = self.iota.mapping[x]
             mid = cell_name((mx, y), pts)
             mapping[s] = mu.mapping[mid]
-        return BasedMorphism(src, self.power(i), mapping)
+        return DeltaMorphism(src, self.power(i), mapping)
 
     def coherence_composite(self, i):
         """(map, verdict): whether the coherence composite induces an

@@ -30,7 +30,6 @@ from itertools import product as iproduct
 from operator import sub
 
 from .delta import DeltaSet, DeltaMorphism, pushout
-from .based import BasedDeltaSet, BasedMorphism
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +139,7 @@ def _assemble(factors, based):
                 else:
                     fcs.append(names[ys][j])
             faces[name] = tuple(fcs)
-    cls = BasedDeltaSet if based else DeltaSet
-    return cls(simplices, faces, sort_keys=keys)
+    return DeltaSet(simplices, faces, sort_keys=keys, based=based)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +297,7 @@ def smash_morphism(f, X):
         (x, y), pts = cell_data(src, s)
         fx = f.mapping[x]
         mapping[s] = None if fx is None else cell_name((fx, y), pts)
-    return BasedMorphism(src, dst, mapping)
+    return DeltaMorphism(src, dst, mapping)
 
 
 def smash_morphism_left(X, f):
@@ -311,11 +309,11 @@ def smash_morphism_left(X, f):
         (x, y), pts = cell_data(src, s)
         fy = f.mapping[y]
         mapping[s] = None if fy is None else cell_name((x, fy), pts)
-    return BasedMorphism(src, dst, mapping)
+    return DeltaMorphism(src, dst, mapping)
 
 
 def smash_unit_iso(szero, K):
     """S0 /\\ K -> K for S0 with a single non-basepoint vertex."""
     P = smash(szero, K)
     mapping = {s: cell_data(P, s)[0][1] for d, s in P.all_cells()}
-    return BasedMorphism(P, K, mapping)
+    return DeltaMorphism(P, K, mapping)

@@ -59,6 +59,18 @@ def test_validate_reports_swapped_faces():
     assert all(r["simplex"] == top for r in report)
 
 
+def test_based_flag_is_part_of_the_set():
+    # the same cells, based or not, are different Delta-sets
+    unbased = DeltaSet({0: ["v"], 1: ["z"]}, {"z": ("v", "v")})
+    based = DeltaSet({0: ["v"], 1: ["z"]}, {"z": ("v", "v")}, based=True)
+    assert unbased != based
+    assert based == DeltaSet({0: ["v"], 1: ["z"]}, {"z": ("v", "v")},
+                             based=True)
+    # only a based set may have a face at the basepoint (None)
+    with pytest.raises(ValueError):
+        DeltaSet({0: ["v"], 1: ["z"]}, {"z": (None, "v")})
+
+
 def test_boundary_two_is_a_circle():
     groups = dsx.homology_of(dsx.standard("boundary", 2))
     assert str(groups[0]) == "Z" and str(groups[1]) == "Z"
@@ -132,6 +144,18 @@ def test_pushout_requires_mono_and_shared_source():
     other = dsx.identity_morphism(D1)
     with pytest.raises(ValueError):
         dsx.pushout(other, fold)  # different sources
+
+
+def test_pushout_renames_clashing_cells_apart():
+    # B's x clashes with C's x, and its first new name B:x is another cell
+    # of B: all three vertices must survive under distinct names
+    B = DeltaSet({0: ["x", "B:x"]}, {})
+    C = DeltaSet({0: ["x"]}, {})
+    po = dsx.pushout(DeltaMorphism(dsx.EMPTY, B, {}),
+                     DeltaMorphism(dsx.EMPTY, C, {}))
+    assert po.delta.n_cells() == 3
+    assert po.leg_b.is_injective() and po.leg_c.is_injective()
+    assert po.leg_b.mapping["B:x"] == "B:x"
 
 
 def test_pushout_mono_leg_and_validity(rng):

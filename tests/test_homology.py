@@ -230,7 +230,7 @@ def test_homology_iso_is_decided_over_z():
 
 
 def test_induced_identity(moore3):
-    m = dsx.induced_map(dsx.based_identity(moore3.M))
+    m = dsx.induced_map(dsx.identity_morphism(moore3.M))
     for k, entry in m.items():
         n = len(entry["source_orders"])
         assert entry["source_orders"] == entry["target_orders"]
@@ -253,7 +253,7 @@ def test_nabla_and_psi_induced_maps(p):
 def test_induced_maps_respect_composition():
     # psi_1 followed by the identity; and nabla through a quotient square
     f = dsx.psi(1, 3)
-    idc = dsx.based_identity(dsx.circle())
+    idc = dsx.identity_morphism(dsx.circle())
     comp = dsx.induced_map(idc.compose(f))
     direct = dsx.induced_map(f)
     for k in comp:

@@ -25,7 +25,7 @@ def test_based_roundtrip(tmp_path):
     path = tmp_path / "k.json"
     dio.write_delta(K, path)
     L = dio.read_delta(path)
-    assert isinstance(L, dsx.BasedDeltaSet)
+    assert L.based
     assert all(L.faces[s] == K.faces[s] for s in K.dim_of)
 
 
@@ -267,10 +267,17 @@ def test_cli_cylinder(tmp_path):
     {"source": "k.json", "target": "pt.json", "map": []},
     {"source": "k.json", "target": "pt.json"},
     {"source": "k.json", "target": "pt.json", "map": {"0": ["0"]}},
+    # a key that is not a simplex of the source
+    {"source": "k.json", "target": "pt.json",
+     "map": {"0": "0", "1": "0", "ghost": "0"}},
+    # a based map that leaves out the image of the face v of z
+    {"source": "s.json", "target": "s.json", "map": {"z": "z"}},
 ])
 def test_cli_cylinder_refuses_malformed_morphism(tmp_path, data):
     dio.write_delta(dsx.standard("boundary", 1), tmp_path / "k.json")
     dio.write_delta(dsx.standard("simplex", 0), tmp_path / "pt.json")
+    dio.write_delta(dsx.DeltaSet({0: ["v"], 1: ["z"]}, {"z": ("v", "v")},
+                                 based=True), tmp_path / "s.json")
     (tmp_path / "m.json").write_text(json.dumps(data))
     status, report = run(["cylinder", str(tmp_path / "m.json"),
                           "--out", str(tmp_path / "out.json")],
@@ -355,6 +362,11 @@ GOLDEN_DIGESTS = {
         "3bff1bf3be9715b8ecd3e9f2733bf42b309d9186bb02a3bd94b87db498fd5905",
     "mm.json":
         "2e778b2d275e23e3699aab776cc5537c7fb21a075771838ee8f12a4b7e672248",
+    # the mapping cylinder of C4 -> C2 wrapping twice: an unbased pushout
+    "cyl.json":
+        "f8d977089373f7d68ad26e0f7af9770d31ee44ad0801dc80d6c770e08375ae34",
+    "cyl_cert.json":
+        "429363903637d5ff9e89bc608a4811666cbdee668097a22d23c9e060e0e20c88",
 }
 
 
@@ -365,6 +377,18 @@ def test_cli_emitted_files_match_golden_digests(tmp_path):
     assert status == 0
     m = str(tmp_path / "moore_p3.json")
     status, _ = run(["smash", m, m, "-o", str(tmp_path / "mm.json")],
+                    stream=out)
+    assert status == 0
+    C4, C2 = dsx.cycle_graph(4), dsx.cycle_graph(2)
+    dio.write_delta(C4, tmp_path / "c4.json")
+    dio.write_delta(C2, tmp_path / "c2.json")
+    wrap = dsx.DeltaMorphism(C4, C2, {f"{x}{k}": f"{x}{k % 2}"
+                                      for x in "vw" for k in range(4)})
+    (tmp_path / "wrap.json").write_text(
+        json.dumps(dio.morphism_to_dict(wrap, "c4.json", "c2.json")))
+    status, _ = run(["cylinder", str(tmp_path / "wrap.json"),
+                     "-o", str(tmp_path / "cyl.json"),
+                     "--certificate", str(tmp_path / "cyl_cert.json")],
                     stream=out)
     assert status == 0
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes())

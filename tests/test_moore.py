@@ -20,7 +20,7 @@ def test_interval_is_contractible():
     I = dsx.interval()
     assert I.counts() == (1, 1)
     assert nontrivial(I) == {}
-    assert dsx.is_valid_based(I)
+    assert dsx.is_valid(I)
 
 
 def test_circle():
@@ -29,10 +29,18 @@ def test_circle():
     assert nontrivial(S1) == {1: "Z"}
 
 
+def test_composing_mismatched_based_morphisms_raises():
+    f = dsx.psi(1, 3)  # S<3> -> S1
+    with pytest.raises(ValueError):
+        f.compose(f)   # would need S1 == S<3>
+    assert dsx.identity_morphism(dsx.circle()).compose(f).mapping == \
+        f.mapping
+
+
 def test_sphere2():
     S2 = dsx.sphere2()
     assert nontrivial(S2) == {2: "Z"}
-    assert S2.reduced_euler_characteristic() == 1
+    assert S2.euler_characteristic() == 1
 
 
 def test_s_bracket_counts_and_homology():
@@ -64,7 +72,7 @@ def test_based_cone_contractible():
     for X in (dsx.circle(), dsx.s_bracket(3)):
         IX, iX = dsx.based_cone(X)
         assert nontrivial(IX) == {}
-        assert iX.is_injective_nonbase()
+        assert iX.is_injective()
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +119,7 @@ def test_moore_space_homology(p):
     ok, tbl = dsx.certify_moore(M, p, 2)
     assert ok
     assert tbl[2] == f"Z/{p}"
-    assert M.reduced_euler_characteristic() == 0
+    assert M.euler_characteristic() == 0
 
 
 def test_moore_rejects_small_modulus():
@@ -133,7 +141,7 @@ def test_iota_epi_on_h2(moore3):
 def test_psi_maps_agree_on_smash_homology():
     # homotopic maps induce equal maps on homology: psi_i /\ X and
     # psi_{i+1} /\ X agree for corpus X
-    s0 = dsx.BasedDeltaSet({0: ["w"]}, {})
+    s0 = dsx.DeltaSet({0: ["w"]}, {}, based=True)
     for X in (s0, dsx.circle(), dsx.s_bracket(3)):
         mats = []
         for i in range(3):
@@ -154,7 +162,7 @@ def test_power_one_is_the_object(moore3):
 def test_symmetric_square_of_circle():
     # S1 ^ S1 / swap: the orbit set of the 2-sphere model
     P, om, W = dsx.symmetric_power_of(dsx.circle(), 2)
-    assert dsx.is_valid_based(P)
+    assert dsx.is_valid(P)
     # the diagonal 1-cell is fixed; the two 2-cells fall into one orbit
     assert P.counts() == (0, 1, 1)
 
@@ -163,9 +171,8 @@ def test_sigma_action_commutes_with_faces_exhaustively(moore3_p2):
     # re-run the representative-independence check by hand on P^2
     from dsx.moore import _orbit_rep, orbit_cell_name
     from dsx.products import cell_data
-    W = moore3_p2.powers._smash_powers[2]
-    P2 = moore3_p2.power(2)
-    om = moore3_p2.powers._orbit_maps[2]
+    mu = moore3_p2.projection(1, 1)
+    W, P2, om = mu.source, mu.target, mu.mapping
     for d, s in W.all_cells():
         if d == 0:
             continue
@@ -197,7 +204,7 @@ def test_projection_one_one_is_the_orbit_map(moore3_p2):
     from dsx.products import cell_data
     ps = moore3_p2.powers
     mu = moore3_p2.projection(1, 1)
-    assert mu.source is ps._smash_powers[2]
+    assert mu.target is ps.power(2)
     assert set(mu.mapping) == set(mu.source.dim_of)
     for d, s in mu.source.all_cells():
         xs, pts = cell_data(mu.source, s)
@@ -210,7 +217,7 @@ def test_p2_certification(moore3_p2):
     P2 = moore3_p2.power(2)
     ok, table = dsx.certify_moore(P2, 3, 4)
     assert ok, table
-    assert P2.reduced_euler_characteristic() == 0
+    assert P2.euler_characteristic() == 0
 
 
 def test_p2_bockstein(moore3_p2):
@@ -238,7 +245,7 @@ def test_coherence_composite_p2_report_only():
 
 
 def test_free_module_report_unit_case(moore3_p2):
-    s0 = dsx.BasedDeltaSet({0: ["w"]}, {})
+    s0 = dsx.DeltaSet({0: ["w"]}, {}, based=True)
     rep = moore3_p2.free_module_report(s0, 2)
     assert rep.all_pass()
     assert rep.levels[2]["method"] == "integral-cone"
@@ -247,7 +254,7 @@ def test_free_module_report_unit_case(moore3_p2):
 
 
 def test_free_module_report_is_integral_at_every_level(moore3_p2):
-    s0 = dsx.BasedDeltaSet({0: ["w"]}, {})
+    s0 = dsx.DeltaSet({0: ["w"]}, {}, based=True)
     for k in (1, 2):
         rep = moore3_p2.free_module_report(s0, k)
         assert sorted(rep.levels) == list(range(2, k + 1))
@@ -265,7 +272,7 @@ def test_free_module_report_circle(moore3_p2):
 
 
 def test_free_module_report_rejects_bad_level(moore3):
-    s0 = dsx.BasedDeltaSet({0: ["w"]}, {})
+    s0 = dsx.DeltaSet({0: ["w"]}, {}, based=True)
     with pytest.raises(ValueError):
         moore3.free_module_report(s0, 5)
 

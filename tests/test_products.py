@@ -377,7 +377,7 @@ def test_pushout_product_rejects_non_mono():
 # ---------------------------------------------------------------------------
 
 def test_smash_unit_s0():
-    s0 = dsx.BasedDeltaSet({0: ["w"]}, {})
+    s0 = dsx.DeltaSet({0: ["w"]}, {}, based=True)
     for K in (dsx.circle(), dsx.s_bracket(3), dsx.sphere2()):
         u = dsx.smash_unit_iso(s0, K)
         assert u.is_isomorphism()
@@ -387,7 +387,7 @@ def test_smash_of_spheres():
     S2 = dsx.sphere2()
     assert dsx.homology_table(dsx.homology_of(S2)) == \
         {0: "0", 1: "0", 2: "Z"}
-    assert S2.reduced_euler_characteristic() == 1
+    assert S2.euler_characteristic() == 1
     S3 = dsx.smash(dsx.circle(), S2)
     assert dsx.homology_table(dsx.homology_of(S3)) == \
         {0: "0", 1: "0", 2: "0", 3: "Z"}
@@ -457,14 +457,14 @@ def test_smash_agrees_with_pushout_presentation():
 def test_smash_morphism_identity_and_functoriality():
     X = dsx.circle()
     S3b = dsx.s_bracket(3)
-    ident = dsx.based_identity(S3b)
+    ident = dsx.identity_morphism(S3b)
     idX = dsx.smash_morphism(ident, X)
     assert all(idX.mapping[s] == s for s in idX.source.dim_of)
     f = dsx.psi(1, 3)
     g = dsx.nabla(3)  # not composable with psi; use two composable maps:
     # S<3> --psi_1--> S1 --id--> S1
     fX = dsx.smash_morphism(f, X)
-    idS1 = dsx.based_identity(dsx.circle())
+    idS1 = dsx.identity_morphism(dsx.circle())
     gX = dsx.smash_morphism(idS1, X)
     comp = dsx.smash_morphism(idS1.compose(f), X)
     assert comp.mapping == gX.compose(fX).mapping
@@ -475,8 +475,8 @@ def test_skeleton_inclusion_smashed_is_homology_iso():
     # is the whole thing, so the smashed inclusion is an iso on homology
     K = dsx.s_bracket(3)
     m = 2  # even, >= top dim 1
-    sk = dsx.based_skeleton(K, m)
-    incl = dsx.BasedMorphism(sk, K, {s: s for s in sk.dim_of})
+    sk = dsx.skeleton(K, m).as_delta_set()
+    incl = dsx.DeltaMorphism(sk, K, {s: s for s in sk.dim_of})
     f = dsx.smash_morphism(incl, dsx.circle())
     assert dsx.is_homology_iso(f)
 

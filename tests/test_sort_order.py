@@ -12,7 +12,6 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from dsx.based import BasedDeltaSet  # noqa: E402
 from dsx.delta import DeltaSet, safe_key  # noqa: E402
 
 PLAIN_LEAVES = st.one_of(st.integers(-3, 3), st.text("ab", max_size=2),
@@ -40,10 +39,10 @@ KEYS = st.one_of(
 )
 
 
-def _constructor_order(cls, keys, keyed):
+def _constructor_order(based, keys, keyed):
     names = [f"c{k}" for k in range(len(keys))]
     sort_keys = {s: key for s, key, has in zip(names, keys, keyed) if has}
-    K = cls({0: names}, {}, sort_keys=sort_keys)
+    K = DeltaSet({0: names}, {}, sort_keys=sort_keys, based=based)
     want = sorted(names, key=lambda s: safe_key(sort_keys.get(s, (s,))))
     return K.cells(0), tuple(want)
 
@@ -53,8 +52,8 @@ def _constructor_order(cls, keys, keyed):
 def test_constructor_order_is_safe_key_order(keys, data):
     keyed = data.draw(st.lists(st.booleans(), min_size=len(keys),
                                max_size=len(keys)))
-    for cls in (DeltaSet, BasedDeltaSet):
-        got, want = _constructor_order(cls, keys, keyed)
+    for based in (False, True):
+        got, want = _constructor_order(based, keys, keyed)
         assert got == want
 
 
@@ -64,6 +63,6 @@ def test_constructor_order_is_safe_key_order(keys, data):
     [(("a",), 1), (("a",), "b"), (1,)],   # mixed types raise TypeError
 ])
 def test_fallback_keys_follow_safe_key(keys):
-    for cls in (DeltaSet, BasedDeltaSet):
-        got, want = _constructor_order(cls, keys, [True] * len(keys))
+    for based in (False, True):
+        got, want = _constructor_order(based, keys, [True] * len(keys))
         assert got == want
