@@ -24,9 +24,10 @@ from .homology import (ChainComplex, HomologyGroup, chain_complex, homology,
                        homology_with_generators, induced_map,
                        integral_map_is_iso, is_homology_iso, bockstein,
                        fp_matrix_is_iso, certify_moore, fp_homology_basis,
-                       chain_map_matrices, mapping_cone_complex)
+                       chain_map_matrices, mapping_cone_complex,
+                       complex_from_matrices)
 from .dgred import (GradedMap, ExteriorModule, ModnReduction,
-                    OrderTower, complex_from_matrices, point_complex,
+                    OrderTower, point_complex,
                     zero_map, identity_map, scalar_map, differential_map,
                     hom_differential, is_chain_map, shift, cone_dg,
                     cylinder_dg, reduce_mod_n, uv_identities,

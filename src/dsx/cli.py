@@ -1,8 +1,8 @@
 """Command-line front door: load, validate, construct, verify.
 
 Exit status 0 when all requested verifications pass, 1 on a failed
-verification, 2 on malformed input (unknown subcommand, unreadable file,
-schema violation).  Reports are deterministic: identical inputs and flags
+verification, 2 on malformed input (unknown subcommand, out-of-range
+number, unreadable file, schema violation).  Reports are deterministic: identical inputs and flags
 produce byte-identical reports except for the isolated "timings" section.
 """
 
@@ -17,7 +17,8 @@ import time
 from . import io as dio
 from .delta import SubDeltaSet, validate
 from .dgred import order_tower, reduce_mod_n, uv_identities
-from .homology import bockstein, certify_moore, homology_of, homology_table
+from .homology import bockstein, certify_moore, homology_of, \
+    homology_table, is_prime
 from .moore import MooreSystem
 from .moves import BudgetExhausted, cone, find_collapse_sequence, \
     fill_horns, mapping_cylinder
@@ -28,6 +29,24 @@ class _CliError(Exception):
     def __init__(self, message, status):
         super().__init__(message)
         self.status = status
+
+
+def _integer(ok, want):
+    """argparse type: an integer value for which ok(value) holds."""
+    def parse(text):
+        value = int(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{value} is not {want}")
+        return value
+    parse.__name__ = "integer"
+    return parse
+
+
+def _at_least(least):
+    return _integer(lambda v: v >= least, f">= {least}")
+
+
+_prime = _integer(is_prime, "prime")
 
 
 def build_parser():
@@ -85,17 +104,17 @@ def build_parser():
     p = sub.add_parser("homology", help="homology table of a file")
     p.add_argument("file")
     p.add_argument("--coeff", choices=("Z", "Q", "Fp"), default="Z")
-    p.add_argument("--p", type=int)
+    p.add_argument("--p", type=_prime)
     p.add_argument("--reduced", action="store_true")
 
     p = sub.add_parser("bockstein", help="mod-p Bockstein matrix")
     p.add_argument("file")
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=_prime, required=True)
     p.add_argument("--degree", type=int, required=True)
 
     p = sub.add_parser("moore", help="build and certify Moore data")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--power", type=int)
+    p.add_argument("--p", type=_at_least(2), required=True)
+    p.add_argument("--power", type=_at_least(1))
     p.add_argument("--coherence", type=int)
     p.add_argument("--emit", metavar="DIR")
 
@@ -103,12 +122,12 @@ def build_parser():
     dgsub = p.add_subparsers(dest="dg_command")
     q = dgsub.add_parser("reduce", help="mod-n reduction t(X)")
     q.add_argument("file")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--uv-trials", type=int, default=0)
+    q.add_argument("--n", type=_at_least(1), required=True)
+    q.add_argument("--uv-trials", type=_at_least(0), default=0)
     q = dgsub.add_parser("tower", help="n-order witness tower")
     q.add_argument("file")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--k", type=int, required=True)
+    q.add_argument("--n", type=_at_least(1), required=True)
+    q.add_argument("--k", type=_at_least(1), required=True)
     return ap
 
 

@@ -2,6 +2,12 @@
 mod-n reduction t(X), the u/v adjunction identities, and n-order witness
 towers.
 
+Every cone differential is built by homology.mapping_cone_complex, the
+same code that decides the coherence verdicts; the cylinder of f : X -> Y
+is the cone of (1, -f) : X -> X (+) Y, and t(X) and each tower level are
+cones too.  Every structure map is assembled from dense blocks by
+block_map.
+
 Sign conventions are pinned by the universal-cycle relations rather than by
 any textbook choice, and every constructor asserts its defining relation at
 build time:
@@ -22,20 +28,8 @@ from __future__ import annotations
 from random import Random
 
 from . import exact
-from .homology import ChainComplex
-
-
-def complex_from_matrices(lo, hi, ranks, mats, check=True):
-    """Build a ChainComplex from dense boundary matrices d[k] : C_k -> C_{k-1}."""
-    d = {}
-    for k, A in mats.items():
-        coo = {}
-        for r, row in enumerate(A):
-            for c, v in enumerate(row):
-                if v:
-                    coo[(r, c)] = v
-        d[k] = coo
-    return ChainComplex(lo, hi, ranks, d, check=check)
+from .homology import (ChainComplex, complex_from_matrices, dense_to_coo,
+                       mapping_cone_complex)
 
 
 def point_complex(degree=0, rank=1):
@@ -143,6 +137,23 @@ def differential_map(X):
                                 if X.rank(k) and X.rank(k - 1)})
 
 
+def block_matrix(m, n, blocks):
+    """The m x n matrix holding each dense block B of `blocks`, a list of
+    (row, col, B), with its top left corner at (row, col); zero elsewhere."""
+    A = exact.zeros(m, n)
+    for r0, c0, B in blocks:
+        for r, row in enumerate(B):
+            A[r0 + r][c0:c0 + len(row)] = row
+    return A
+
+
+def block_map(source, target, degree, blocks):
+    """The graded map whose degree-k matrix is block_matrix of blocks(k)."""
+    return GradedMap(source, target, degree, {
+        k: block_matrix(target.rank(k + degree), source.rank(k), blocks(k))
+        for k in range(source.lo, source.hi + 1)})
+
+
 def hom_differential(f):
     """d(f) = d_Y o f - (-1)^{|f|} f o d_X in the hom complex."""
     dY = differential_map(f.target)
@@ -195,45 +206,18 @@ def cone_dg(f):
     if not is_chain_map(f):
         raise ValueError("cone_dg needs a chain map (degree 0, d(f) = 0)")
     X, Y = f.source, f.target
-    lo = min(Y.lo, X.lo + 1)
-    hi = max(Y.hi, X.hi + 1)
-    ranks = {k: Y.rank(k) + X.rank(k - 1) for k in range(lo, hi + 1)}
-    mats = {}
-    for k in range(lo, hi + 1):
-        m = ranks.get(k - 1, 0)
-        n = ranks.get(k, 0)
-        if m == 0 or n == 0:
-            continue
-        A = exact.zeros(m, n)
-        dY = Y.boundary_dense(k)
-        for r in range(Y.rank(k - 1)):
-            for c in range(Y.rank(k)):
-                A[r][c] = dY[r][c]
-        F = f.mat(k - 1)
-        for r in range(Y.rank(k - 1)):
-            for c in range(X.rank(k - 1)):
-                A[r][Y.rank(k) + c] = F[r][c]
-        dX = X.boundary_dense(k - 1)
-        for r in range(X.rank(k - 2)):
-            for c in range(X.rank(k - 1)):
-                A[Y.rank(k - 1) + r][Y.rank(k) + c] = -dX[r][c]
-        mats[k] = A
-    C = complex_from_matrices(lo, hi, ranks, mats, check=True)
-    i = GradedMap(Y, C, 0, {
-        k: [[1 if rr == cc else 0 for cc in range(Y.rank(k))]
-            for rr in range(C.rank(k))]
-        for k in range(Y.lo, Y.hi + 1) if Y.rank(k)})
-    u = GradedMap(X, C, 1, {
-        k: [[1 if rr == Y.rank(k + 1) + cc else 0 for cc in range(X.rank(k))]
-            for rr in range(C.rank(k + 1))]
-        for k in range(X.lo, X.hi + 1) if X.rank(k)})
-    p = GradedMap(C, X, -1, {
-        k: [[1 if Y.rank(k) + cc == rr_src else 0
-             for rr_src in range(C.rank(k))]
-            for cc in range(X.rank(k - 1))]
-        for k in range(lo, hi + 1) if C.rank(k) and X.rank(k - 1)})
+    C = mapping_cone_complex(
+        X, Y, {k: dense_to_coo(A) for k, A in f.mats.items()})
+    bad = C.verify()
+    if bad:
+        raise ValueError(f"d o d != 0 in degrees {bad}")
+    i = block_map(Y, C, 0, lambda k: [(0, 0, exact.eye(Y.rank(k)))])
+    u = block_map(X, C, 1,
+                  lambda k: [(Y.rank(k + 1), 0, exact.eye(X.rank(k)))])
+    p = block_map(C, X, -1,
+                  lambda k: [(0, Y.rank(k), exact.eye(X.rank(k - 1)))])
     Xs = shift(X, 1)
-    pbar = GradedMap(C, Xs, 0, {k: p.mat(k) for k in p.mats})
+    pbar = GradedMap(C, Xs, 0, p.mats)
     if not hom_differential(i).is_zero():
         raise AssertionError("cone: d(i) != 0")
     if hom_differential(u) != i.compose(f):
@@ -258,87 +242,37 @@ class CylinderResult:
         self.s = s
 
 
+def direct_sum(X, Y):
+    """X (+) Y, with X's generators first in every degree."""
+    lo, hi = min(X.lo, Y.lo), max(X.hi, Y.hi)
+    ranks = {k: X.rank(k) + Y.rank(k) for k in range(lo, hi + 1)}
+    mats = {k: block_matrix(ranks.get(k - 1, 0), ranks[k],
+                            [(0, 0, X.boundary_dense(k)),
+                             (X.rank(k - 1), X.rank(k), Y.boundary_dense(k))])
+            for k in range(lo, hi + 1)}
+    return complex_from_matrices(lo, hi, ranks, mats, check=False)
+
+
 def cylinder_dg(f):
-    """Mapping cylinder Zf_k = X_k (+) Y_k (+) X_{k-1}, with
-    d(a, b, c) = (da + c, db - fc, -dc); asserts q o i = f, q o j = 1 and
-    d(s) = 1 - j o q (so j and q are inverse homotopy equivalences)."""
+    """Mapping cylinder Zf = cone((1, -f) : X -> X (+) Y), so that
+    Zf_k = X_k (+) Y_k (+) X_{k-1} and d(a, b, c) = (da + c, db - fc, -dc);
+    asserts q o i = f, q o j = 1 and d(s) = 1 - j o q (so j and q are
+    inverse homotopy equivalences)."""
     if not is_chain_map(f):
         raise ValueError("cylinder_dg needs a chain map")
     X, Y = f.source, f.target
-    lo = min(X.lo, Y.lo)
-    hi = max(X.hi + 1, Y.hi)
-    ranks = {k: X.rank(k) + Y.rank(k) + X.rank(k - 1)
-             for k in range(lo, hi + 1)}
-    mats = {}
-    for k in range(lo, hi + 1):
-        m, n = ranks.get(k - 1, 0), ranks.get(k, 0)
-        if m == 0 or n == 0:
-            continue
-        A = exact.zeros(m, n)
-        dX = X.boundary_dense(k)
-        dY = Y.boundary_dense(k)
-        dX1 = X.boundary_dense(k - 1)
-        F = f.mat(k - 1)
-        xo_r, yo_r = 0, X.rank(k - 1)
-        so_r = X.rank(k - 1) + Y.rank(k - 1)
-        xo_c, yo_c = 0, X.rank(k)
-        so_c = X.rank(k) + Y.rank(k)
-        for r in range(X.rank(k - 1)):
-            for c in range(X.rank(k)):
-                A[xo_r + r][xo_c + c] = dX[r][c]
-            for c in range(X.rank(k - 1)):
-                if r == c:
-                    A[xo_r + r][so_c + c] = 1
-        for r in range(Y.rank(k - 1)):
-            for c in range(Y.rank(k)):
-                A[yo_r + r][yo_c + c] = dY[r][c]
-            for c in range(X.rank(k - 1)):
-                A[yo_r + r][so_c + c] = -F[r][c]
-        for r in range(X.rank(k - 2)):
-            for c in range(X.rank(k - 1)):
-                A[so_r + r][so_c + c] = -dX1[r][c]
-        mats[k] = A
-    Z = complex_from_matrices(lo, hi, ranks, mats, check=True)
-
-    def block_map(src, offset_fn):
-        mats = {}
-        for k in range(src.lo, src.hi + 1):
-            n = src.rank(k)
-            if n == 0:
-                continue
-            A = exact.zeros(Z.rank(k), n)
-            off = offset_fn(k)
-            for c in range(n):
-                A[off + c][c] = 1
-            mats[k] = A
-        return mats
-
-    i = GradedMap(X, Z, 0, block_map(X, lambda k: 0))
-    j = GradedMap(Y, Z, 0, block_map(Y, lambda k: X.rank(k)))
-    # q(a, b, c) = (f a + b)
-    qm = {}
-    for k in range(lo, hi + 1):
-        if Z.rank(k) == 0 or Y.rank(k) == 0:
-            continue
-        A = exact.zeros(Y.rank(k), Z.rank(k))
-        F = f.mat(k)
-        for r in range(Y.rank(k)):
-            for c in range(X.rank(k)):
-                A[r][c] = F[r][c]
-            A[r][X.rank(k) + r] = 1
-        qm[k] = A
-    q = GradedMap(Z, Y, 0, qm)
+    one_minus_f = block_map(X, direct_sum(X, Y), 0, lambda k: [
+        (0, 0, exact.eye(X.rank(k))),
+        (X.rank(k), 0, exact.mat_scale(-1, f.mat(k)))])
+    Z = cone_dg(one_minus_f).cone
+    i = block_map(X, Z, 0, lambda k: [(0, 0, exact.eye(X.rank(k)))])
+    j = block_map(Y, Z, 0, lambda k: [(X.rank(k), 0, exact.eye(Y.rank(k)))])
+    # q(a, b, c) = f a + b
+    q = block_map(Z, Y, 0, lambda k: [(0, 0, f.mat(k)),
+                                      (0, X.rank(k), exact.eye(Y.rank(k)))])
     # s(a, b, c) = (0, 0, a), degree +1
-    sm = {}
-    for k in range(lo, hi + 1):
-        if Z.rank(k) == 0 or Z.rank(k + 1) == 0 or X.rank(k) == 0:
-            continue
-        A = exact.zeros(Z.rank(k + 1), Z.rank(k))
-        off = X.rank(k + 1) + Y.rank(k + 1)
-        for c in range(X.rank(k)):
-            A[off + c][c] = 1
-        sm[k] = A
-    s = GradedMap(Z, Z, 1, sm)
+    s = block_map(Z, Z, 1, lambda k: [
+        (X.rank(k + 1) + Y.rank(k + 1), 0, exact.eye(X.rank(k)))])
     if not (is_chain_map(i) and is_chain_map(j) and is_chain_map(q)):
         raise AssertionError("cylinder: structure maps are not chain maps")
     if q.compose(i) != f:
@@ -416,15 +350,7 @@ def reduce_mod_n(X, n):
     t = res.cone
     eta, g, p = res.i, res.u, res.p
     # r projects onto the unshifted block
-    rm = {}
-    for k in range(t.lo, t.hi + 1):
-        if t.rank(k) == 0 or X.rank(k) == 0:
-            continue
-        A = exact.zeros(X.rank(k), t.rank(k))
-        for r_ in range(X.rank(k)):
-            A[r_][r_] = 1
-        rm[k] = A
-    r = GradedMap(t, X, 0, rm)
+    r = block_map(t, X, 0, lambda k: [(0, 0, exact.eye(X.rank(k)))])
     if r.compose(eta) != identity_map(X):
         raise AssertionError("reduction: r o eta != 1")
     if p.compose(g) != identity_map(X):
@@ -549,23 +475,11 @@ def cone_exterior(h, ext_source, ext_target):
         raise ValueError("cone_exterior needs an e-equivariant map")
     res = cone_dg(h)
     C = res.cone
-    A, B = h.source, h.target
-    em = {}
-    for k in range(C.lo, C.hi + 1):
-        m, n_ = C.rank(k + 1), C.rank(k)
-        if m == 0 or n_ == 0:
-            continue
-        E = exact.zeros(m, n_)
-        eB = ext_target.e.mat(k)
-        for r in range(B.rank(k + 1)):
-            for c in range(B.rank(k)):
-                E[r][c] = eB[r][c]
-        eA = ext_source.e.mat(k - 1)
-        for r in range(A.rank(k)):
-            for c in range(A.rank(k - 1)):
-                E[B.rank(k + 1) + r][B.rank(k) + c] = -eA[r][c]
-        em[k] = E
-    e = GradedMap(C, C, 1, em)
+    B = h.target
+    e = block_map(C, C, 1, lambda k: [
+        (0, 0, ext_target.e.mat(k)),
+        (B.rank(k + 1), B.rank(k),
+         exact.mat_scale(-1, ext_source.e.mat(k - 1)))])
     return ExteriorModule(C, e, ext_target.n), res
 
 

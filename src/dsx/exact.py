@@ -67,24 +67,12 @@ def mat_add(A, B):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
-def mat_sub(A, B):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
 def mat_scale(c, A):
     return [[c * x for x in row] for row in A]
 
 
 def mat_eq(A, B):
     return len(A) == len(B) and all(ra == rb for ra, rb in zip(A, B))
-
-
-def is_zero_matrix(A):
-    return all(all(x == 0 for x in row) for row in A)
-
-
-def mat_copy(A):
-    return [row[:] for row in A]
 
 
 # ---------------------------------------------------------------------------
@@ -644,25 +632,13 @@ def fp_rank(A, p):
 class FpEchelon:
     """Incremental echelon store over F_p keyed by leading index.
 
-    reduce(v) returns the residue of v against the stored vectors; add(v)
-    inserts a (nonzero) residue.  Used to build quotient-space bases.
+    reduce_full(v) returns the residue of v against the stored vectors;
+    add(v) inserts a (nonzero) residue.  Used to build quotient-space bases.
     """
 
     def __init__(self, p):
         self.p = p
         self.lead = {}
-
-    def reduce(self, v):
-        p = self.p
-        v = [x % p for x in v]
-        for i in range(len(v)):
-            if v[i]:
-                base = self.lead.get(i)
-                if base is None:
-                    break
-                q = v[i]
-                v = [(x - q * y) % p for x, y in zip(v, base)]
-        return v
 
     def reduce_full(self, v):
         """Residue with all stored leads eliminated (not just the first)."""

@@ -109,6 +109,19 @@ class ChainComplex:
         return f"ChainComplex({self.lo}..{self.hi}, ranks={rk})"
 
 
+def dense_to_coo(A):
+    """The COO dict {(row, col): v} of a dense matrix's nonzero entries."""
+    return {(r, c): v for r, row in enumerate(A) for c, v in enumerate(row)
+            if v}
+
+
+def complex_from_matrices(lo, hi, ranks, mats, check=True):
+    """Build a ChainComplex from dense boundary matrices d[k] : C_k -> C_{k-1}."""
+    return ChainComplex(lo, hi, ranks,
+                        {k: dense_to_coo(A) for k, A in mats.items()},
+                        check=check)
+
+
 def chain_complex(K, reduced=False):
     """Cellular chain complex of a Delta-set, or the reduced complex of a
     based Delta-set (one generator per non-basepoint simplex, basepoint
@@ -271,27 +284,24 @@ def chain_map_matrices(f, reduced=None):
 
 
 def mapping_cone_complex(CS, CT, mats):
-    """Cone of a chain map F : CS -> CT; acyclic iff F is a homology iso.
+    """Cone of a chain map F : CS -> CT, given by its per-degree COO
+    matrices mats[k] : CS_k -> CT_k; acyclic iff F is a homology iso.
 
-    Degree k is CT_k (+) CS_{k-1} with d(y, x) = (dy + Fx, -dx).
+    Degree k is CT_k (+) CS_{k-1} with d(y, x) = (dy + Fx, -dx), for k from
+    min(CT.lo, CS.lo + 1) to max(CT.hi, CS.hi + 1).
     """
-    lo = min(CS.lo, CT.lo)
-    hi = max(CS.hi, CT.hi) + 1
-    ranks = {}
-    for k in range(lo, hi + 1):
-        ranks[k] = CT.rank(k) + CS.rank(k - 1)
+    lo = min(CT.lo, CS.lo + 1)
+    hi = max(CT.hi, CS.hi + 1)
+    ranks = {k: CT.rank(k) + CS.rank(k - 1) for k in range(lo, hi + 1)}
     d = {}
     for k in range(lo, hi + 1):
-        coo = {}
-        for (r, c), v in CT.d.get(k, {}).items():
-            coo[(r, c)] = v
-        off_row = CT.rank(k - 1)
-        off_col = CT.rank(k)
+        coo = dict(CT.d.get(k, {}))
+        off_row, off_col = CT.rank(k - 1), CT.rank(k)
         for (r, c), v in mats.get(k - 1, {}).items():
-            coo[(r, off_col + c)] = coo.get((r, off_col + c), 0) + v
+            coo[(r, off_col + c)] = v
         for (r, c), v in CS.d.get(k - 1, {}).items():
             coo[(off_row + r, off_col + c)] = -v
-        d[k] = {key: v for key, v in coo.items() if v}
+        d[k] = coo
     return ChainComplex(lo, hi, ranks, d, check=False)
 
 
@@ -410,59 +420,39 @@ def homology_with_generators(C, k):
     return HomologyBasis(k, orders, gens, coords)
 
 
-def induced_map(f, coeff="Z", p=None, reduced=None):
-    """Per-degree matrices of the induced map on homology.
-
-    Integral coefficients express images of source generators in target
-    generators (entries reduced modulo the target orders); field
-    coefficients use mod-p bases.  Intended for small complexes: dense
-    Smith transforms are computed per degree.
+def induced_map(f, reduced=None):
+    """Per-degree matrices of the induced map on integral homology: images
+    of source generators in target generators, entries reduced modulo the
+    target orders.  Intended for small complexes: dense Smith transforms
+    are computed per degree.
     """
     CS, CT, mats = chain_map_matrices(f, reduced=reduced)
     out = {}
     degrees = sorted(set(range(CS.lo, CS.hi + 1)) | set(range(CT.lo, CT.hi + 1)))
     for k in degrees:
-        if coeff == "Z":
-            hs = homology_with_generators(CS, k)
-            ht = homology_with_generators(CT, k)
-            F = mats.get(k, {})
-            matrix = []
-            for j, g in enumerate(hs.gens):
-                w = [0] * CT.rank(k)
-                for (r, c), v in F.items():
-                    if g[c]:
-                        w[r] += v * g[c]
-                col = ht.coords(w)
-                matrix.append(col)
-            matrix = [list(row) for row in zip(*matrix)] if matrix else \
-                [[] for _ in ht.orders]
-            out[k] = {
-                "matrix": matrix,
-                "source_orders": list(hs.orders),
-                "target_orders": list(ht.orders),
-            }
-        else:
-            if p is None or not is_prime(p):
-                raise ValueError("field induced maps need a prime p")
-            bs = fp_homology_basis(CS, k, p)
-            bt = fp_homology_basis(CT, k, p)
-            F = mats.get(k, {})
-            matrix = []
-            for g in bs[0]:
-                w = [0] * CT.rank(k)
-                for (r, c), v in F.items():
-                    if g[c]:
-                        w[r] = (w[r] + v * g[c]) % p
-                matrix.append(bt[1](w))
-            matrix = [list(row) for row in zip(*matrix)] if matrix else \
-                [[] for _ in bt[0]]
-            out[k] = {"matrix": matrix, "p": p,
-                      "source_dim": len(bs[0]), "target_dim": len(bt[0])}
+        hs = homology_with_generators(CS, k)
+        ht = homology_with_generators(CT, k)
+        F = mats.get(k, {})
+        matrix = []
+        for j, g in enumerate(hs.gens):
+            w = [0] * CT.rank(k)
+            for (r, c), v in F.items():
+                if g[c]:
+                    w[r] += v * g[c]
+            col = ht.coords(w)
+            matrix.append(col)
+        matrix = [list(row) for row in zip(*matrix)] if matrix else \
+            [[] for _ in ht.orders]
+        out[k] = {
+            "matrix": matrix,
+            "source_orders": list(hs.orders),
+            "target_orders": list(ht.orders),
+        }
     return out
 
 
 def integral_map_is_iso(entry):
-    """Decide whether an induced-map entry (from induced_map, coeff="Z")
+    """Decide whether an induced-map entry (from induced_map)
     is an isomorphism of finitely generated abelian groups.
 
     Isomorphy holds iff the groups have equal invariant chains and the map

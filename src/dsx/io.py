@@ -10,14 +10,17 @@ where source and target are both based or both unbased, every key is a
 source simplex, and "*" (the basepoint, None) is allowed only in a based
 target.
 Chain-complex file:
-    { "degrees": [lo, hi], "ranks": [...],
+    { "degrees": [lo, hi], "ranks": [rank_lo, ..., rank_hi],
       "boundaries": { "k": row-major matrix of d_k : C_k -> C_{k-1} } }
+with integer entries, one rank per degree and lo <= k <= hi.
 Certificate file: ordered move list with simplex names and face indices.
 
-Loaders validate and refuse invalid files (SchemaError): besides the
-semisimplicial identity, a Delta-set file may give faces only for declared
-simplices, and its optional "dims" must be the top dimension with simplices
-(-1 when there are none); a morphism must be a valid DeltaMorphism.
+Loaders validate and refuse invalid files (SchemaError): a Delta-set file
+needs its "simplices" object; besides the semisimplicial identity, it may
+give faces only for declared simplices, and its optional "dims" must be the
+top dimension with simplices (-1 when there are none); a morphism must be a
+valid DeltaMorphism; a boundary matrix must have the shape its ranks give
+and d o d = 0.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import json
 import os
 
 from .delta import DeltaSet, DeltaMorphism, validate
-from .homology import ChainComplex
+from .homology import complex_from_matrices
 from .moves import Move, ExpansionCertificate
 
 BASEPOINT = "*"
@@ -74,12 +77,14 @@ def delta_to_dict(K):
 
 
 def delta_from_dict(data):
+    simplices = data.get("simplices") if isinstance(data, dict) else None
+    if not isinstance(simplices, dict):
+        raise SchemaError("not a Delta-set file: 'simplices' is not an object")
     try:
         based = data.get("based", False)
-        simplices = {int(d): names
-                     for d, names in data.get("simplices", {}).items()}
+        simplices = {int(d): names for d, names in simplices.items()}
         raw_faces = data.get("faces", {})
-    except (TypeError, ValueError, AttributeError) as exc:
+    except ValueError as exc:
         raise SchemaError(f"malformed Delta-set file: {exc}") from None
     if type(based) is not bool:
         raise SchemaError(f"'based' is {based!r}, not true or false")
@@ -166,23 +171,40 @@ def complex_to_dict(C):
     return {"degrees": [C.lo, C.hi], "ranks": ranks, "boundaries": boundaries}
 
 
+def _is_int(v):
+    return type(v) is int
+
+
 def complex_from_dict(data):
+    degrees = data.get("degrees")
+    if not (isinstance(degrees, list) and len(degrees) == 2
+            and all(map(_is_int, degrees))):
+        raise SchemaError(f"'degrees' is {degrees!r}, not [lo, hi]")
+    lo, hi = degrees
+    ranks = data.get("ranks")
+    if not (isinstance(ranks, list) and len(ranks) == hi - lo + 1
+            and all(_is_int(r) and r >= 0 for r in ranks)):
+        raise SchemaError(f"'ranks' is {ranks!r}, not one non-negative "
+                          f"integer for each degree {lo}..{hi}")
+    ranks = dict(zip(range(lo, hi + 1), ranks))
+    boundaries = data.get("boundaries", {})
+    if not isinstance(boundaries, dict):
+        raise SchemaError("'boundaries' is not an object")
+    degree_of = {str(k): k for k in ranks}
+    mats = {}
+    for key, rows in boundaries.items():
+        k = degree_of.get(key)
+        if k is None:
+            raise SchemaError(f"boundary {key!r} is not in degrees {lo}..{hi}")
+        m, n = ranks.get(k - 1, 0), ranks[k]
+        if not (isinstance(rows, list) and len(rows) == m and all(
+                isinstance(row, list) and len(row) == n
+                and all(map(_is_int, row)) for row in rows)):
+            raise SchemaError(f"boundary {k} is not a {m} x {n} integer "
+                              f"matrix")
+        mats[k] = rows
     try:
-        lo, hi = data["degrees"]
-        ranks = {lo + i: int(r) for i, r in enumerate(data["ranks"])}
-        d = {}
-        for k, rows in data.get("boundaries", {}).items():
-            k = int(k)
-            coo = {}
-            for r, row in enumerate(rows):
-                for c, v in enumerate(row):
-                    if v:
-                        coo[(r, c)] = int(v)
-            d[k] = coo
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed complex file: {exc}") from None
-    try:
-        return ChainComplex(lo, hi, ranks, d)
+        return complex_from_matrices(lo, hi, ranks, mats)
     except ValueError as exc:
         raise SchemaError(f"invalid complex: {exc}") from None
 

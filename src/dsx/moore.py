@@ -23,8 +23,8 @@ from .based import based_quotient, finite_model, basepoint_name
 from .products import (smash, n_ary_smash, n_ary_product, cell_name,
                        cell_data, smash_morphism, smash_morphism_left)
 from .moves import ExpansionCertificate, Move
-from .homology import (certify_moore, is_homology_iso, induced_map,
-                       chain_map_matrices, mapping_cone_complex, homology)
+from .homology import (certify_moore, is_homology_iso, chain_map_matrices,
+                       mapping_cone_complex, homology)
 
 
 # ---------------------------------------------------------------------------
@@ -480,11 +480,6 @@ class MooreSystem:
                      "target_cells": gK.target.n_cells(),
                      "method": "integral-cone",
                      "iso": all(g_.is_trivial() for g_ in groups.values())}
-            if gK.source.n_cells() + gK.target.n_cells() <= 800:
-                # dense per-degree bases: only worthwhile on small instances
-                mats_small = induced_map(gK, coeff="F", p=self.p)
-                entry["induced_matrices_mod_p"] = {
-                    deg: m["matrix"] for deg, m in mats_small.items()}
             levels[j] = entry
         return CoherenceReport(self.p, k, levels)
 

@@ -176,6 +176,40 @@ def test_cylinder_structure_identities(rng):
         assert a == b
 
 
+def _column(A, c):
+    return [row[c] for row in A]
+
+
+def test_cylinder_boundary_is_the_block_formula(rng):
+    # oracle: d(a, b, c) = (da + c, db - fc, -dc) on X_k (+) Y_k (+) X_{k-1},
+    # written out one basis vector at a time
+    for _ in range(20):
+        X = dsx.shift(random_three_term(rng), rng.randint(-2, 2))
+        Y = dsx.shift(random_three_term(rng), rng.randint(-2, 2))
+        f = dsx.hom_differential(random_graded_map(rng, X, Y, 1))
+        Z = dsx.cylinder_dg(f).cyl
+        assert (Z.lo, Z.hi) == (min(X.lo, Y.lo), max(X.hi + 1, Y.hi))
+        for k in range(Z.lo, Z.hi + 1):
+            cols = []
+            for a in range(X.rank(k)):
+                cols.append(_column(X.boundary_dense(k), a)
+                            + [0] * (Y.rank(k - 1) + X.rank(k - 2)))
+            for b in range(Y.rank(k)):
+                cols.append([0] * X.rank(k - 1)
+                            + _column(Y.boundary_dense(k), b)
+                            + [0] * X.rank(k - 2))
+            for c in range(X.rank(k - 1)):
+                unit = [int(i == c) for i in range(X.rank(k - 1))]
+                cols.append(unit + [-v for v in f.apply(k - 1, unit)]
+                            + [-v for v in
+                               _column(X.boundary_dense(k - 1), c)])
+            rows = X.rank(k - 1) + Y.rank(k - 1) + X.rank(k - 2)
+            want = [list(r) for r in zip(*cols)] if cols else \
+                [[] for _ in range(rows)]
+            assert Z.rank(k) == len(cols)
+            assert Z.boundary_dense(k) == want
+
+
 def test_cylinder_of_fold_map(rng):
     X = random_three_term(rng)
     Y = random_three_term(rng)

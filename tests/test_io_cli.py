@@ -327,6 +327,107 @@ def test_cli_dg(tmp_path):
     assert report["checks"][0]["levels"] == 4
 
 
+GOOD_COMPLEX = {"degrees": [0, 1], "ranks": [1, 1],
+                "boundaries": {"1": [[2]]}}
+
+
+@pytest.mark.parametrize("change", [
+    # a boundary wider, or taller, than the ranks
+    {"boundaries": {"1": [[2, 0]]}},
+    {"boundaries": {"1": [[2], [0]]}},
+    # boundaries given as a list
+    {"boundaries": [[[2]]]},
+    # a negative rank
+    {"ranks": [1, -1], "boundaries": {}},
+    # an entry that is not an integer
+    {"boundaries": {"1": [[1.5]]}},
+    # a boundary in a degree outside "degrees"
+    {"boundaries": {"1": [[2]], "2": [[1]]}},
+    # fewer ranks than degrees
+    {"degrees": [0, 2]},
+], ids=["too-wide", "too-tall", "boundaries-list", "negative-rank",
+        "float-entry", "outside-degrees", "short-ranks"])
+def test_cli_dg_refuses_malformed_complex(tmp_path, change):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(dict(GOOD_COMPLEX, **change)))
+    status, report = run(["dg", "reduce", str(path), "--n", "2"],
+                         stream=_io.StringIO())
+    assert status == 2
+    assert "error" in report
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology"], ["validate"], ["fill-horns", "--max-dim", "2",
+                                 "--rounds", "1", "-o", "out.json"]],
+    ids=["homology", "validate", "fill-horns"])
+@pytest.mark.parametrize("data", [{}, GOOD_COMPLEX], ids=["empty", "complex"])
+def test_cli_refuses_files_without_simplices(tmp_path, monkeypatch, argv,
+                                             data):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(data))
+    status, report = run(argv[:1] + [str(path)] + argv[1:],
+                         stream=_io.StringIO())
+    assert status == 2
+    assert "error" in report
+
+
+@pytest.mark.parametrize("argv", [
+    ["moore", "--p", "1"],
+    ["moore", "--p", "3", "--power", "-1"],
+    ["moore", "--p", "3", "--power", "0"],
+    ["homology", "K", "--coeff", "Fp", "--p", "4"],
+    ["bockstein", "K", "--p", "4", "--degree", "1"],
+    ["dg", "reduce", "X", "--n", "0"],
+    ["dg", "tower", "X", "--n", "2", "--k", "0"],
+])
+def test_cli_refuses_out_of_range_numbers(argv):
+    # refused while parsing, before any file is read
+    status, report = run(argv, stream=_io.StringIO())
+    assert status == 2
+    assert report == {"error": "argument parsing"}
+
+
+# SHA-256 of the structured reports, without timings, of `dsx dg reduce`
+# and `dsx dg tower` on two fixed three-term complexes, one of them in
+# degrees -1..1; the file names are relative, so the reports do not
+# depend on the test's directory
+DG_COMPLEXES = {
+    "a.json": {"degrees": [0, 2], "ranks": [2, 3, 2],
+               "boundaries": {"1": [[3, -2, -1], [6, -4, -2]],
+                              "2": [[1, 1], [2, 0], [-1, 3]]}},
+    "b.json": {"degrees": [-1, 1], "ranks": [1, 2, 1],
+               "boundaries": {"0": [[2, 4]], "1": [[2], [-1]]}},
+}
+DG_REPORT_DIGESTS = {
+    "reduce a.json --n 2 --uv-trials 20":
+        "7f9d6c736d2a0f895fc41fa926cbb213b2ba1d587fe06e16ec307942a155f8ad",
+    "tower a.json --n 3 --k 3":
+        "7eba8e84420d94094ca1bdc0913f7146f368b0ba5821b527d8dad29e6e14856d",
+    "reduce b.json --n 3 --uv-trials 20":
+        "56cfc972f3a01c105d9ee3b16df2bb5619a760751800dc934aa96dbba41b1c88",
+    "tower b.json --n 2 --k 3":
+        "bab4fc4968d880cc7f5e56036fd46f72d63c4f7459c9a748c47a52a6f4087793",
+}
+
+
+def test_cli_dg_reports_match_golden_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, data in DG_COMPLEXES.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    digests = {}
+    for args in DG_REPORT_DIGESTS:
+        out = _io.StringIO()
+        status, _ = run(["--format", "structured", "dg"] + args.split(),
+                        stream=out)
+        assert status == 0
+        data = json.loads(out.getvalue())
+        data.pop("timings")
+        digests[args] = hashlib.sha256(
+            json.dumps(data, sort_keys=True).encode()).hexdigest()
+    assert digests == DG_REPORT_DIGESTS
+
+
 def test_cli_reports_byte_identical_modulo_timings(tmp_path):
     path = _write(tmp_path, "d2.json", dsx.standard("simplex", 2))
     reports = []
