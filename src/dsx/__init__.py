@@ -23,9 +23,8 @@ from .homology import (ChainComplex, HomologyGroup, chain_complex, homology,
                        homology_of, homology_table, is_acyclic,
                        homology_with_generators, induced_map,
                        integral_map_is_iso, is_homology_iso, bockstein,
-                       fp_matrix_is_iso, certify_moore, fp_homology_basis,
-                       chain_map_matrices, mapping_cone_complex,
-                       complex_from_matrices)
+                       fp_matrix_is_iso, certify_moore, chain_map_matrices,
+                       mapping_cone_complex, complex_from_matrices)
 from .dgred import (GradedMap, ExteriorModule, ModnReduction,
                     OrderTower, point_complex,
                     zero_map, identity_map, scalar_map, differential_map,

@@ -90,15 +90,15 @@ def build_parser():
                        help="search for an expansion certificate K -> L")
     p.add_argument("sub", help="Delta-set file of the subcomplex")
     p.add_argument("ambient", help="Delta-set file containing it")
-    p.add_argument("--budget", type=int, default=100000)
+    p.add_argument("--budget", type=_at_least(1), default=100000)
     p.add_argument("--require-pass", action="store_true",
                    help="exit 1 unless a certificate is found")
     p.add_argument("--certificate", metavar="PATH")
 
     p = sub.add_parser("fill-horns", help="bounded horn filling")
     p.add_argument("file")
-    p.add_argument("--max-dim", type=int, required=True)
-    p.add_argument("--rounds", type=int, required=True)
+    p.add_argument("--max-dim", type=_at_least(1), required=True)
+    p.add_argument("--rounds", type=_at_least(1), required=True)
     p.add_argument("--out", "-o", required=True)
 
     p = sub.add_parser("homology", help="homology table of a file")
@@ -107,10 +107,10 @@ def build_parser():
     p.add_argument("--p", type=_prime)
     p.add_argument("--reduced", action="store_true")
 
-    p = sub.add_parser("bockstein", help="mod-p Bockstein matrix")
+    p = sub.add_parser("bockstein", help="rank of the mod-p Bockstein")
     p.add_argument("file")
     p.add_argument("--p", type=_prime, required=True)
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=_at_least(0), required=True)
 
     p = sub.add_parser("moore", help="build and certify Moore data")
     p.add_argument("--p", type=_at_least(2), required=True)
@@ -226,8 +226,9 @@ def _cmd_certify(ns, report):
     if K.based or L.based:
         raise _CliError("certify expects unbased files", 2)
     for s in K.dim_of:
-        if L.dim_of.get(s) != K.dim_of[s]:
-            raise _CliError(f"{s!r} is not a simplex of the ambient file", 2)
+        if L.dim_of.get(s) != K.dim_of[s] or L.faces[s] != K.faces[s]:
+            raise _CliError(f"{s!r} is not a simplex of the ambient file "
+                            "with the same faces", 2)
     sub = SubDeltaSet(L, list(K.dim_of))
     verdict = "UNKNOWN"
     cert = None
@@ -244,8 +245,11 @@ def _cmd_certify(ns, report):
             dio.write_certificate(cert, ns.certificate)
         report["tables"]["moves"] = len(cert)
     else:
-        hk = _table(homology_table(homology_of(K)))
-        hl = _table(homology_table(homology_of(L)))
+        gk, gl = homology_of(K), homology_of(L)
+        degrees = gk.keys() | gl.keys()
+        lo, hi = min(degrees), max(degrees)
+        hk = _table(homology_table(gk, lo, hi))
+        hl = _table(homology_table(gl, lo, hi))
         if hk == hl:
             verdict = "HOMOLOGY-ISO"
         else:
@@ -288,9 +292,7 @@ def _cmd_bockstein(ns, report):
         raise _CliError("bockstein expects a based file", 2)
     entry = bockstein(K, ns.p, ns.degree)
     report["tables"]["bockstein"] = {
-        "matrix": entry["matrix"],
-        "source_dim": entry["source_dim"],
-        "target_dim": entry["target_dim"]}
+        key: entry[key] for key in ("rank", "source_dim", "target_dim")}
     report["checks"].append({"name": "bockstein", "verdict": "PASS"})
     return True
 

@@ -6,18 +6,20 @@ computational backbone for every homology verdict in the package:
 
 * dense Smith normal form with recorded unimodular transforms and their
   inverses (self-verifying),
-* one sparse unit-elimination loop (`_cancel_units`) over Z or F_p.  Over Z
-  it cancels +-1 entries; over F_p it cancels every nonzero entry.  Three
-  entry points go through it: `morse_reduce` shrinks a whole chain complex
-  to a homotopy-equivalent one, `sparse_rank_and_factors` hands the
-  unit-free residue of one matrix to dense Smith for its invariant
-  factors, and `sparse_rank_mod_p` gives the rank over F_p,
-* dense mod-p kernels/ranks for field-coefficient homology bases.
+* one sparse unit-elimination loop (`_cancel_units`) over Z, F_p or Z/p^2.
+  Over Z it cancels +-1 entries; over Z/q it cancels every entry prime to
+  q, which over F_p is every nonzero entry.  Three entry points go through
+  it: `morse_reduce` shrinks a whole chain complex to a homotopy-equivalent
+  one (over Z, or over Z/p^2 for the Bockstein), `sparse_rank_and_factors`
+  hands the unit-free residue of one matrix to dense Smith for its
+  invariant factors, and `sparse_rank_mod_p` gives the rank over F_p,
+* dense mod-p ranks (`fp_rref`, `fp_rank`), the only dense mod-p code.
 """
 
 from __future__ import annotations
 
 import heapq
+from math import gcd
 
 
 def xgcd(a, b):
@@ -458,24 +460,25 @@ def _dense_from_sparse(M):
 # unit elimination: the one cancellation loop
 # ---------------------------------------------------------------------------
 
-def _cancel_units(mats, p=None):
+def _cancel_units(mats, q=None):
     """Cancel unit entries of the boundary matrices `mats` (degree k ->
     SparseMat of d_k) in place; returns the cancelled (k, row, col) pairs.
 
-    Over Z (p None) the units are the +-1 entries; over F_p the entries
-    must already be reduced mod p and every one of them is a unit.  Pivots
-    come off a heap keyed by the Markowitz fill-in estimate
-    (row nnz - 1) * (col nnz - 1), then degree and position; stale keys are
-    re-pushed.  Cancelling the pair (col c in degree k, row r in degree
-    k-1) clears row r from the other columns of d_k and drops the row of c
-    from d_{k+1} and the column of r from d_{k-1}: a basis change followed
-    by the removal of an acyclic two-cell summand.
+    Over Z (q None) the units are the +-1 entries; over Z/q the entries
+    must already be reduced mod q and the units are those prime to q (over
+    F_p every nonzero entry).  Pivots come off a heap keyed by the
+    Markowitz fill-in estimate (row nnz - 1) * (col nnz - 1), then degree
+    and position; stale keys are re-pushed.  Cancelling the pair (col c in
+    degree k, row r in degree k-1) clears row r from the other columns of
+    d_k and drops the row of c from d_{k+1} and the column of r from
+    d_{k-1}: a basis change followed by the removal of an acyclic two-cell
+    summand.
     """
     heap = []
     for k, m in mats.items():
         for c, col in m.cols.items():
             for r, v in col.items():
-                if p is not None or v == 1 or v == -1:
+                if v == 1 or v == -1 or (q is not None and gcd(v, q) == 1):
                     cost = (len(m.rows[r]) - 1) * (len(col) - 1)
                     heap.append((cost, k, r, c))
     heapq.heapify(heap)
@@ -488,21 +491,22 @@ def _cancel_units(mats, p=None):
         if col is None or r not in col:
             continue
         v = col[r]
-        if p is None and v != 1 and v != -1:
+        if not (v == 1 or v == -1 or (q is not None and gcd(v, q) == 1)):
             continue
         cur = (len(m.rows[r]) - 1) * (len(col) - 1)
         if cur > cost:
             heapq.heappush(heap, (cur, k, r, c))
             continue
-        inv = v if p is None else pow(v, -1, p)
+        inv = v if q is None else pow(v, -1, q)
         for j in list(m.rows[r]):
             if j == c:
                 continue
-            m.col_axpy(j, c, -m.cols[j][r] * inv, p)
+            m.col_axpy(j, c, -m.cols[j][r] * inv, q)
             colj = m.cols.get(j)
             if colj:
                 for r2, v2 in colj.items():
-                    if p is not None or v2 == 1 or v2 == -1:
+                    if v2 == 1 or v2 == -1 or \
+                            (q is not None and gcd(v2, q) == 1):
                         c2 = (len(m.rows[r2]) - 1) * (len(colj) - 1)
                         heapq.heappush(heap, (c2, k, r2, j))
         m.remove_col(c)
@@ -537,20 +541,24 @@ def sparse_rank_mod_p(M, p):
     return len(_cancel_units({1: M}, p))
 
 
-def morse_reduce(ranks, boundaries):
-    """Cancel the +-1 entries of the boundary matrices of a complex over Z.
+def morse_reduce(ranks, boundaries, q=None):
+    """Cancel the unit entries of the boundary matrices of a complex over
+    Z, or over Z/q when q is given (entries are reduced mod q first).
 
     `ranks` maps degree -> number of cells, `boundaries` maps degree k to a
     COO dict {(row, col): v} for d_k : C_k -> C_{k-1}.  Returns reduced
     (ranks, boundaries) of a complex with identical homology: each
-    cancellation is a chain homotopy equivalence over Z, so homology with
-    every coefficient ring is preserved.
+    cancellation is a chain homotopy equivalence over Z (so homology with
+    every coefficient ring is preserved), or over Z/q.
     """
     mats = {k: SparseMat.from_entries(ranks.get(k - 1, 0), ranks.get(k, 0),
                                       coo)
             for k, coo in boundaries.items()}
+    if q is not None:
+        for m in mats.values():
+            m.reduce_mod(q)
     alive = {k: set(range(n)) for k, n in ranks.items()}
-    for k, r, c in _cancel_units(mats):
+    for k, r, c in _cancel_units(mats, q):
         alive[k].discard(c)
         alive[k - 1].discard(r)
 
@@ -573,7 +581,7 @@ def morse_reduce(ranks, boundaries):
 
 
 # ---------------------------------------------------------------------------
-# dense mod-p linear algebra (small matrices)
+# dense mod-p ranks (small matrices)
 # ---------------------------------------------------------------------------
 
 def fp_rref(A, p):
@@ -606,64 +614,6 @@ def fp_rref(A, p):
     return pivots
 
 
-def fp_kernel_basis(A, p):
-    """Basis of ker(A) over F_p, as column vectors (lists)."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    B = [row[:] for row in A]
-    pivots = fp_rref(B, p)
-    pivot_set = set(pivots)
-    free = [j for j in range(n) if j not in pivot_set]
-    basis = []
-    for f in free:
-        vec = [0] * n
-        vec[f] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = (-B[i][f]) % p
-        basis.append(vec)
-    return basis
-
-
 def fp_rank(A, p):
     B = [row[:] for row in A]
     return len(fp_rref(B, p))
-
-
-class FpEchelon:
-    """Incremental echelon store over F_p keyed by leading index.
-
-    reduce_full(v) returns the residue of v against the stored vectors;
-    add(v) inserts a (nonzero) residue.  Used to build quotient-space bases.
-    """
-
-    def __init__(self, p):
-        self.p = p
-        self.lead = {}
-
-    def reduce_full(self, v):
-        """Residue with all stored leads eliminated (not just the first)."""
-        p = self.p
-        v = [x % p for x in v]
-        i = 0
-        while i < len(v):
-            if v[i]:
-                base = self.lead.get(i)
-                if base is None:
-                    i += 1
-                    continue
-                q = v[i]
-                v = [(x - q * y) % p for x, y in zip(v, base)]
-            else:
-                i += 1
-        return v
-
-    def add(self, v):
-        p = self.p
-        v = self.reduce_full(v)
-        for i in range(len(v)):
-            if v[i]:
-                inv = pow(v[i], -1, p)
-                v = [(x * inv) % p for x in v]
-                self.lead[i] = v
-                return i
-        return None

@@ -11,6 +11,12 @@ each residue boundary then goes to exact.sparse_rank_and_factors (Z, Q) or
 exact.sparse_rank_mod_p (F_p).  Isomorphism verdicts for chain maps go
 through acyclicity of the mapping cone, which needs ranks and invariant
 factors only.
+
+The mod-p Bockstein is the connecting map of 0 -> Z/p -> Z/p^2 -> Z/p -> 0,
+so it depends only on the chains over Z/p^2.  The same kernel Morse-reduces
+them over Z/p^2, cancelling every entry prime to p (a chain homotopy
+equivalence over Z/p^2); the residue's differential is p*B, so its cells
+are a basis of mod-p homology and the Bockstein is B mod p.
 """
 
 from __future__ import annotations
@@ -481,100 +487,36 @@ def integral_map_is_iso(entry):
 
 
 # ---------------------------------------------------------------------------
-# mod-p homology bases and the Bockstein
+# the Bockstein
 # ---------------------------------------------------------------------------
 
-def fp_homology_basis(C, k, p):
-    """(basis cycles, coords) for H_k(C; F_p), dense (small complexes)."""
-    n = C.rank(k)
-    if n == 0:
-        return [], lambda w: []
-    if C.rank(k - 1) == 0:
-        kernel = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    else:
-        kernel = exact.fp_kernel_basis(C.boundary_dense(k), p)
-    image = []
-    if C.rank(k + 1) and C.d.get(k + 1):
-        B = C.boundary_dense(k + 1)
-        for j in range(C.rank(k + 1)):
-            col = [B[i][j] % p for i in range(n)]
-            if any(col):
-                image.append(col)
-    # echelonize the image, then pick kernel residues as homology basis
-    ech = exact.FpEchelon(p)
-    for v in image:
-        ech.add(v)
-    basis = []
-    for v in kernel:
-        res = ech.reduce_full(v)
-        if any(res):
-            ech.add(res)
-            basis.append([x % p for x in v])
-
-    span = []  # columns: basis then image echelon vectors
-    for v in basis:
-        span.append(v)
-    for v in image:
-        span.append(v)
-
-    def coords(w):
-        # solve span * x = w mod p; return the basis coefficients
-        cols = len(span)
-        A = [[span[j][i] % p for j in range(cols)] + [w[i] % p]
-             for i in range(n)]
-        piv = exact.fp_rref(A, p)
-        x = [0] * cols
-        for row, col in enumerate(piv):
-            if col == cols:
-                raise ValueError("vector is not a cycle mod p")
-            x[col] = A[row][cols]
-        return x[:len(basis)]
-
-    return basis, coords
-
-
-def bockstein(K, p, k, reduced=True):
-    """Matrix of the Bockstein H~_k(-; F_p) -> H~_{k-1}(-; F_p).
+def bockstein(K, p, k):
+    """The Bockstein H~_k(-; F_p) -> H~_{k-1}(-; F_p) of a Delta-set.
 
     Connecting map of 0 -> Z/p -> Z/p^2 -> Z/p -> 0: lift a mod-p cycle to
-    an integer chain, take the boundary, divide by p, reduce mod p.  The
-    complex is Morse-reduced first (a chain homotopy equivalence over Z,
-    so the Bockstein is unchanged).
+    a chain over Z/p^2, take the boundary, divide by p, reduce mod p.  The
+    reduced chains are Morse-reduced over Z/p^2, cancelling every entry
+    prime to p; this is a chain homotopy equivalence over Z/p^2, so the
+    Bockstein is unchanged.  Every residue entry is divisible by p: the
+    residue cells form a basis of mod-p homology, every cell is a mod-p
+    cycle that lifts to itself, and the matrix is (residue d_k) / p mod p.
+    Only `rank` and the dimensions are independent of that basis.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    C = chain_complex(K, reduced=reduced)
-    # the entries depend on the bases of the complex they are computed on;
-    # small complexes stay unreduced so that their reported matrices keep
-    # the same entries
-    W = C.morse_reduced() if C.total_rank() > 64 else C
-    bk, coords_k = fp_homology_basis(W, k, p)
-    bk1, coords_k1 = fp_homology_basis(W, k - 1, p)
-    cols = []
-    for z in bk:
-        dz = [0] * W.rank(k - 1)
-        for (r, c), v in W.d.get(k, {}).items():
-            if z[c]:
-                dz[r] += v * z[c]
-        if any(x % p for x in dz):
-            raise AssertionError("lift of a mod-p cycle has non-divisible boundary")
-        w = [(x // p) % p for x in dz]
-        cols.append(coords_k1(w))
-    matrix = [list(row) for row in zip(*cols)] if cols else \
-        [[] for _ in bk1]
-    return {"matrix": matrix, "source_dim": len(bk), "target_dim": len(bk1),
+    C = chain_complex(K, reduced=True)
+    ranks, bnd = exact.morse_reduce(C.ranks, C.d, q=p * p)
+    source_dim, target_dim = ranks.get(k, 0), ranks.get(k - 1, 0)
+    matrix = exact.zeros(target_dim, source_dim)
+    for (r, c), v in bnd.get(k, {}).items():
+        matrix[r][c] = v // p
+    return {"matrix": matrix, "source_dim": source_dim,
+            "target_dim": target_dim, "rank": exact.fp_rank(matrix, p),
             "p": p, "degree": k}
 
 
 def fp_matrix_is_iso(entry):
-    M = entry["matrix"]
-    p = entry["p"]
-    sd, td = entry["source_dim"], entry["target_dim"]
-    if sd != td:
-        return False
-    if sd == 0:
-        return True
-    return exact.fp_rank([row[:] for row in M], p) == sd
+    return entry["rank"] == entry["source_dim"] == entry["target_dim"]
 
 
 # ---------------------------------------------------------------------------

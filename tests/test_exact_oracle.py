@@ -2,7 +2,9 @@
 
 Small integer matrices mix +-1 entries (which the kernel cancels), zeros
 and non-units (which reach dense Smith over Z); their invariant factors and
-mod-p ranks must agree with sympy's.
+mod-p ranks must agree with sympy's.  Reduced over Z/p^2, a matrix leaves a
+residue p*B with B's mod-p rank the number of invariant factors of p-adic
+valuation one.
 """
 
 import pytest
@@ -28,10 +30,13 @@ def matrices(draw):
     return [[draw(ENTRIES) for _ in range(n)] for _ in range(m)]
 
 
+def coo_of(A):
+    return {(i, j): v for i, row in enumerate(A) for j, v in enumerate(row)
+            if v}
+
+
 def sparse_of(A):
-    coo = {(i, j): v for i, row in enumerate(A) for j, v in enumerate(row)
-           if v}
-    return exact.SparseMat.from_entries(len(A), len(A[0]), coo)
+    return exact.SparseMat.from_entries(len(A), len(A[0]), coo_of(A))
 
 
 def sympy_factors(A):
@@ -54,3 +59,21 @@ def test_sparse_rank_mod_p_matches_sympy(A):
     for p in (2, 3, 5, 7):
         want = DomainMatrix.from_list(A, GF(p)).rank()
         assert exact.sparse_rank_mod_p(sparse_of(A), p) == want, p
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_morse_reduce_mod_p_squared_matches_sympy(A):
+    # A as the one boundary of a two-term complex, reduced over Z/p^2
+    m, n = len(A), len(A[0])
+    for p in (2, 3, 5):
+        ranks, bnd = exact.morse_reduce({0: m, 1: n}, {1: coo_of(A)},
+                                        q=p * p)
+        assert all(v % p == 0 for v in bnd[1].values()), p
+        assert m - ranks[0] == n - ranks[1] == \
+            DomainMatrix.from_list(A, GF(p)).rank(), p
+        B = exact.zeros(ranks[0], ranks[1])
+        for (r, c), v in bnd[1].items():
+            B[r][c] = v // p
+        want = sum(1 for d in sympy_factors(A) if d % p == 0 and d % (p * p))
+        assert exact.fp_rank(B, p) == want, p

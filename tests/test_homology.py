@@ -291,6 +291,30 @@ def test_bockstein_of_moore_is_iso(moore3):
     assert dsx.fp_matrix_is_iso(b)
 
 
+def test_bockstein_rank_and_dimensions_match_homology(corpus):
+    # beta_k has one unit of rank for each Z/d summand of H~_{k-1}(Z) with
+    # d of p-adic valuation exactly 1; Z/p^2 and beyond contribute none
+    objs = dict(corpus, S2=dsx.sphere2(), S4=dsx.s_bracket(4),
+                **{f"M{n}": dsx.moore_space(n)[0] for n in (2, 3, 4, 6, 9)})
+    for name, K in objs.items():
+        C = dsx.chain_complex(K, reduced=True)
+        integral = dsx.homology(C)
+        for p in (2, 3, 5):
+            field = dsx.homology(C, coeff="F", p=p)
+            dims = {k: g.free_rank for k, g in field.items()}
+            for k in range(0, K.top_dim + 2):
+                tors = integral[k - 1].torsion if k - 1 in integral else ()
+                rank = sum(1 for d in tors if d % p == 0 and d % (p * p))
+                b = dsx.bockstein(K, p, k)
+                assert (b["rank"], b["source_dim"], b["target_dim"]) == \
+                    (rank, dims.get(k, 0), dims.get(k - 1, 0)), (name, p, k)
+    # p divides the torsion, yet the Bockstein vanishes
+    for name, p in (("M4", 2), ("M9", 3)):
+        b = dsx.bockstein(objs[name], p, 3)
+        assert (b["rank"], b["source_dim"], b["target_dim"]) == (0, 1, 1)
+        assert not dsx.fp_matrix_is_iso(b)
+
+
 def test_bockstein_squares_to_zero(moore3):
     objs = [moore3.M, dsx.sphere2(), dsx.s_bracket(4)]
     for K in objs:
