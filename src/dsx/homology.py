@@ -106,9 +106,14 @@ class ChainComplex:
 
     def morse_reduced(self):
         """A homotopy-equivalent complex with unit boundary entries
-        cancelled (same homology for every coefficient ring)."""
+        cancelled (same homology for every coefficient ring).  The residue
+        checks itself: d o d = 0, and the Euler characteristic is kept."""
         ranks, bnd = exact.morse_reduce(self.ranks, self.d)
-        return ChainComplex(self.lo, self.hi, ranks, bnd, check=False)
+        W = ChainComplex(self.lo, self.hi, ranks, bnd)
+        if W.euler_characteristic() != self.euler_characteristic():
+            raise ValueError("Morse reduction changed the Euler "
+                             "characteristic")
+        return W
 
     def __repr__(self):
         rk = [self.ranks.get(k, 0) for k in range(self.lo, self.hi + 1)]
@@ -497,15 +502,19 @@ def bockstein(K, p, k):
     a chain over Z/p^2, take the boundary, divide by p, reduce mod p.  The
     reduced chains are Morse-reduced over Z/p^2, cancelling every entry
     prime to p; this is a chain homotopy equivalence over Z/p^2, so the
-    Bockstein is unchanged.  Every residue entry is divisible by p: the
-    residue cells form a basis of mod-p homology, every cell is a mod-p
-    cycle that lifts to itself, and the matrix is (residue d_k) / p mod p.
+    Bockstein is unchanged.  Every residue entry is divisible by p (checked;
+    a ValueError otherwise): the residue cells form a basis of mod-p
+    homology, every cell is a mod-p cycle that lifts to itself, and the
+    matrix is (residue d_k) / p mod p.
     Only `rank` and the dimensions are independent of that basis.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     C = chain_complex(K, reduced=True)
     ranks, bnd = exact.morse_reduce(C.ranks, C.d, q=p * p)
+    if any(v % p for coo in bnd.values() for v in coo.values()):
+        raise ValueError(f"a residue entry over Z/{p * p} is not divisible "
+                         f"by {p}")
     source_dim, target_dim = ranks.get(k, 0), ranks.get(k - 1, 0)
     matrix = exact.zeros(target_dim, source_dim)
     for (r, c), v in bnd.get(k, {}).items():

@@ -1,11 +1,16 @@
-"""The elimination kernel against sympy as an independent oracle.
+"""The elimination kernel against independent oracles.
 
 Small integer matrices mix +-1 entries (which the kernel cancels), zeros
 and non-units (which reach dense Smith over Z); their invariant factors and
 mod-p ranks must agree with sympy's.  Reduced over Z/p^2, a matrix leaves a
 residue p*B with B's mod-p rank the number of invariant factors of p-adic
-valuation one.
+valuation one.  Whole complexes of random 2-dimensional Delta-sets and
+their cones, where the free-face and coreduction queue cancels across
+degrees, must have the homology that dense reduction gives with no Morse
+step at all.
 """
+
+import random
 
 import pytest
 
@@ -18,7 +23,10 @@ from sympy.matrices.normalforms import invariant_factors  # noqa: E402
 from sympy.polys.domains import GF  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
+import dsx  # noqa: E402
 from dsx import exact  # noqa: E402
+from conftest import random_two_dim_delta  # noqa: E402
+from test_homology import dense_homology  # noqa: E402
 
 ENTRIES = st.one_of(st.sampled_from([-1, 0, 0, 1]), st.integers(-9, 9))
 
@@ -77,3 +85,22 @@ def test_morse_reduce_mod_p_squared_matches_sympy(A):
             B[r][c] = v // p
         want = sum(1 for d in sympy_factors(A) if d % p == 0 and d % (p * p))
         assert exact.fp_rank(B, p) == want, p
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(3, 7), st.integers(0, 8),
+       st.integers(0, 5))
+def test_homology_of_random_complexes_and_cones_matches_dense(
+        seed, n_vertices, n_edges, n_triangles):
+    K = random_two_dim_delta(random.Random(seed), n_vertices, n_edges,
+                             n_triangles)
+    CK, _, _ = dsx.cone(K)
+    for X in (K, CK):
+        C = dsx.chain_complex(X)
+        for coeff, p in (("Z", None), ("F", 2), ("F", 3)):
+            got = {k: (g.free_rank, g.torsion)
+                   for k, g in dsx.homology(C, coeff=coeff, p=p).items()}
+            assert got == dense_homology(C, coeff, p), (X, coeff, p)
+    C = dsx.chain_complex(CK, reduced=True)
+    ranks, _ = exact.morse_reduce(C.ranks, C.d)
+    assert sum(ranks.values()) == 0

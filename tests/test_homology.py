@@ -135,6 +135,61 @@ def test_morse_reduction_preserves_homology(corpus):
             assert got == want, (name, coeff, p)
 
 
+def test_morse_reduce_never_pivots_on_a_non_unit():
+    # a lone 2 is a free face and a coreduction at once; it is a unit only
+    # over Z/9
+    for q in (None, 4):
+        ranks, bnd = exact.morse_reduce({0: 1, 1: 1}, {1: {(0, 0): 2}}, q=q)
+        assert (ranks, bnd) == ({0: 1, 1: 1}, {1: {(0, 0): 2}}), q
+    assert exact.morse_reduce({0: 1, 1: 1}, {1: {(0, 0): 2}}, q=9) == \
+        ({0: 0, 1: 0}, {1: {}})
+    # inside a longer complex: the edge e0 = v1 - v0 cancels against a free
+    # face, and the two 2-cells are lone columns with entry 2 on the loop
+    # e1, whose row holds two entries
+    ranks = {0: 2, 1: 2, 2: 2}
+    bnd = {1: {(0, 0): -1, (1, 0): 1}, 2: {(1, 0): 2, (1, 1): 2}}
+    for q in (None, 4):
+        got_ranks, got = exact.morse_reduce(ranks, bnd, q=q)
+        assert got_ranks == {0: 1, 1: 1, 2: 2}, q
+        assert sorted(got[2].values()) == [2, 2] and got[1] == {}, q
+    got_ranks, got = exact.morse_reduce(ranks, bnd, q=9)
+    assert got_ranks == {0: 1, 1: 0, 2: 1}
+    assert got == {1: {}, 2: {}}
+
+
+def test_morse_residue_checks_itself(corpus, monkeypatch):
+    C = dsx.chain_complex(corpus["RP2"])
+    real = exact.morse_reduce
+
+    def drop_a_cell(ranks, boundaries, q=None):
+        ranks, bnd = real(ranks, boundaries, q)
+        top = max(k for k, n in ranks.items() if n)
+        ranks[top] -= 1
+        bnd[top] = {(r, c): v for (r, c), v in bnd.get(top, {}).items()
+                    if c < ranks[top]}
+        bnd.pop(top + 1, None)
+        return ranks, bnd
+
+    monkeypatch.setattr(exact, "morse_reduce", drop_a_cell)
+    with pytest.raises(ValueError, match="Euler"):
+        C.morse_reduced()
+
+    def break_d_squared(ranks, boundaries, q=None):
+        return {0: 1, 1: 1, 2: 1}, {1: {(0, 0): 1}, 2: {(0, 0): 1}}
+
+    monkeypatch.setattr(exact, "morse_reduce", break_d_squared)
+    with pytest.raises(ValueError, match="d o d"):
+        C.morse_reduced()
+
+
+def test_bockstein_refuses_a_residue_entry_not_divisible_by_p(monkeypatch):
+    monkeypatch.setattr(exact, "morse_reduce",
+                        lambda ranks, boundaries, q=None:
+                        ({0: 1, 1: 1}, {1: {(0, 0): 4}}))
+    with pytest.raises(ValueError, match="not divisible by 3"):
+        dsx.bockstein(dsx.circle(), 3, 1)
+
+
 def test_sparse_rank_mod_p_gives_betti_numbers(corpus, moore3):
     # the Morse residues carry the non-unit entries (2 on RP2, 3 on M)
     for K in (corpus["RP2"], corpus["torus"], corpus["wedgeish"], moore3.M):
