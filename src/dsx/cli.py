@@ -387,6 +387,12 @@ def run(argv, stream=None):
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
+        if ns.command == "moore" and ns.coherence is not None and \
+                not 2 <= ns.coherence <= ns.p - 1:
+            # the coherence claim is for 2 <= i <= p - 1; a level of p or
+            # more would first build P^p, which is far too large
+            parser.error(f"--coherence must satisfy 2 <= i <= p - 1 = "
+                         f"{ns.p - 1}")
     except SystemExit as exc:
         return (0 if exc.code == 0 else 2), {"error": "argument parsing"}
     if not ns.command:

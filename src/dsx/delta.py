@@ -75,10 +75,14 @@ class DeltaSet:
     faces[name] is the tuple (x d_0, ..., x d_n) for an n-simplex x; the
     face entries of vertices are empty tuples.  In a based set a face entry
     may be None, the basepoint, which is not listed among the simplices.
+
+    `_chains` caches the cellular chain complexes that
+    `homology.chain_complex` builds, one per value of `reduced`; they are
+    shared by every caller and must not be mutated.
     """
 
     __slots__ = ("simplices", "faces", "dim_of", "top_dim", "based",
-                 "_sort_keys")
+                 "_sort_keys", "_chains")
 
     def __init__(self, simplices, faces, sort_keys=None, based=False):
         """simplices: dict dim -> iterable of names; faces: name -> tuple.
@@ -91,6 +95,7 @@ class DeltaSet:
         """
         keyed = dict(sort_keys) if sort_keys else {}
         self._sort_keys = keyed
+        self._chains = {}
         self.based = based
         self.simplices = {}
         self.dim_of = {}
@@ -369,8 +374,7 @@ class DeltaMorphism:
                 continue
             else:
                 want = tgt.faces[t]
-            got = tuple(None if f is None else m.get(f)
-                        for f in self.source.faces[s])
+            got = tuple(map(m.get, self.source.faces[s]))
             if got != want:
                 problems.extend(f"face {i} of {s!r} does not commute"
                                 for i, (g, w) in enumerate(zip(got, want))

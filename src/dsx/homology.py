@@ -75,20 +75,26 @@ class ChainComplex:
         return self.ranks.get(k, 0)
 
     def verify(self):
-        """Degrees k where d_{k-1} o d_k != 0 (empty for a valid complex)."""
+        """Degrees k where d_{k-1} o d_k != 0 (empty for a valid complex).
+
+        Each d_k is grouped by column once; column c of d_{k-1} o d_k is
+        summed in a small accumulator of its own, and a degree stops at its
+        first nonzero column."""
         bad = []
-        for k in range(self.lo + 1, self.hi + 1):
-            lower = self.d.get(k - 1, {})
-            cols_lower = {}
-            for (r, c), v in lower.items():
-                cols_lower.setdefault(c, []).append((r, v))
-            acc = {}
+        below = {}  # d_{k-1} by column: c -> [(row, value)]
+        for k in range(self.lo, self.hi + 1):
+            cols = {}
             for (r, c), v in self.d.get(k, {}).items():
-                for (r2, v2) in cols_lower.get(r, ()):
-                    key = (r2, c)
-                    acc[key] = acc.get(key, 0) + v * v2
-            if any(val for val in acc.values()):
-                bad.append(k)
+                cols.setdefault(c, []).append((r, v))
+            for entries in cols.values():
+                acc = {}
+                for r, v in entries:
+                    for r2, v2 in below.get(r, ()):
+                        acc[r2] = acc.get(r2, 0) + v * v2
+                if any(acc.values()):
+                    bad.append(k)
+                    break
+            below = cols
         return bad
 
     def boundary_dense(self, k):
@@ -142,9 +148,21 @@ def chain_complex(K, reduced=False):
     degree -1; for a based Delta-set, reduced=False adds a basepoint
     generator in degree 0 (the unreduced homology of the reduced
     realization).
+
+    The complex is built and checked (d o d = 0) once per Delta-set and
+    value of `reduced`, then cached on K: every later call returns the same
+    object, so callers share it and must not mutate it.
     """
     if not isinstance(K, DeltaSet):
         raise TypeError("expected a DeltaSet")
+    reduced = bool(reduced)
+    cached = K._chains.get(reduced)
+    if cached is None:
+        cached = K._chains[reduced] = _build_chain_complex(K, reduced)
+    return cached
+
+
+def _build_chain_complex(K, reduced):
     based = K.based
     top = K.top_dim
     basis = {}

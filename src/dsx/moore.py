@@ -311,25 +311,28 @@ def symmetric_power_of(X, i):
     if i == 1:
         return X, identity_morphism(X), X
     W = n_ary_smash([X] * i)
-    orbit_map = {}
-    reps = {}
+    # the least member of an orbit is itself a cell of W, so the orbit is
+    # named "O" + that cell's name, which is orbit_cell_name(rep)
+    cell_reps = []
+    least = []  # (dim, W cell, representative) of each orbit's least member
+    names = {}  # orbit representative -> orbit name
     for d, s in W.all_cells():
-        xs, pts = cell_data(W, s)
-        rep = _orbit_rep(xs, pts)
-        name = orbit_cell_name(rep)
-        orbit_map[s] = name
-        if name not in reps:
-            reps[name] = (d, rep, s)
+        key = cell_data(W, s)
+        rep = _orbit_rep(*key)
+        cell_reps.append((s, rep))
+        if rep == key:
+            names[rep] = "O" + s
+            least.append((d, s, rep))
+    orbit_map = {s: names[rep] for s, rep in cell_reps}
     simplices = {}
     faces = {}
     keys = {}
-    for name, (d, rep, member) in reps.items():
+    for d, s, rep in least:
+        name = names[rep]
         simplices.setdefault(d, []).append(name)
         keys[name] = rep
         if d > 0:
-            faces[name] = tuple(
-                None if f is None else orbit_map[f]
-                for f in W.faces[member])
+            faces[name] = tuple(map(orbit_map.get, W.faces[s]))
     P = DeltaSet(simplices, faces, sort_keys=keys, based=True)
     return P, DeltaMorphism(W, P, orbit_map), W
 

@@ -125,19 +125,26 @@ def _assemble(factors, based):
     for xs, row in names.items():
         x_faces = [K.faces[x] for K, x in zip(factors, xs)]
         dims = tuple(K.dim_of[x] for K, x in zip(factors, xs))
+        face_rows = {}  # lost -> names row of the face's factors, or None
         for name, entries in zip(row, _face_table(dims)):
             if not entries:
                 continue
             fcs = []
             for lost, j in entries:
-                ys = tuple(x if m is None else fx[m]
-                           for x, m, fx in zip(xs, lost, x_faces))
-                if None in ys:
-                    if not based:
-                        raise AssertionError("basepoint face in unbased product")
-                    fcs.append(None)
+                if lost in face_rows:
+                    face_row = face_rows[lost]
                 else:
-                    fcs.append(names[ys][j])
+                    ys = tuple(x if m is None else fx[m]
+                               for x, m, fx in zip(xs, lost, x_faces))
+                    if None in ys:
+                        if not based:
+                            raise AssertionError(
+                                "basepoint face in unbased product")
+                        face_row = None
+                    else:
+                        face_row = names[ys]
+                    face_rows[lost] = face_row
+                fcs.append(None if face_row is None else face_row[j])
             faces[name] = tuple(fcs)
     return DeltaSet(simplices, faces, sort_keys=keys, based=based)
 

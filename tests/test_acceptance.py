@@ -82,6 +82,16 @@ def test_criterion_3_stretch_p5():
         assert verdict
 
 
+def test_criterion_3_coherence_p7():
+    # a verdict read off a few small fields (F_2, F_3, F_5) would not see
+    # 7-torsion; this one is computed over Z
+    with criterion(3, "p=7: S2 /\\ P1 -> P2 is an integral homology "
+                      "isomorphism in every degree", 900):
+        sys7 = dsx.MooreSystem(7)
+        f, verdict = sys7.coherence_composite(2)
+        assert verdict
+
+
 def test_criterion_4_nabla_vs_psi():
     with criterion(4, "induced maps on H~1(S<p>): x p for nabla, x 1 for "
                       "every psi_i, p in {2,3,5}", 1):

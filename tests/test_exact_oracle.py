@@ -7,7 +7,9 @@ residue p*B with B's mod-p rank the number of invariant factors of p-adic
 valuation one.  Whole complexes of random 2-dimensional Delta-sets and
 their cones, where the free-face and coreduction queue cancels across
 degrees, must have the homology that dense reduction gives with no Morse
-step at all.
+step at all.  The d o d check of a chain complex, run on Delta-set
+complexes with entries planted in two degrees, must report exactly the
+degrees where the dense product d_{k-1} d_k is nonzero.
 """
 
 import random
@@ -25,6 +27,7 @@ from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 import dsx  # noqa: E402
 from dsx import exact  # noqa: E402
+from dsx.homology import ChainComplex  # noqa: E402
 from conftest import random_two_dim_delta  # noqa: E402
 from test_homology import dense_homology  # noqa: E402
 
@@ -104,3 +107,37 @@ def test_homology_of_random_complexes_and_cones_matches_dense(
     C = dsx.chain_complex(CK, reduced=True)
     ranks, _ = exact.morse_reduce(C.ranks, C.d)
     assert sum(ranks.values()) == 0
+
+
+@st.composite
+def three_dim_sets(draw):
+    n = draw(st.integers(4, 6))
+    maximal = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1,
+                                     max_size=4, unique=True), max_size=6))
+    # in every degree of the augmented complex of a tetrahedron, each
+    # column of d_{k-1} d_k is a sum of nonzero paths that cancel
+    maximal.append([0, 1, 2, 3])
+    return dsx.from_simplicial_complex(maximal)
+
+
+@settings(max_examples=60, deadline=None)
+@given(three_dim_sets(), st.data())
+def test_d_squared_check_matches_dense_products(K, data):
+    C = dsx.chain_complex(K, reduced=True)
+    assert C.verify() == []
+    d = {k: dict(coo) for k, coo in C.d.items()}  # C itself is shared
+    # adding v at (r, c) of d_k, where column r of d_{k-1} is nonzero,
+    # makes column c of d_{k-1} d_k nonzero
+    planted = data.draw(st.lists(st.sampled_from((1, 2, 3)), min_size=2,
+                                 max_size=2, unique=True))
+    for k in planted:
+        r = data.draw(st.sampled_from(sorted({c for _, c in C.d[k - 1]})))
+        c = data.draw(st.integers(0, C.rank(k) - 1))
+        d[k][(r, c)] = d[k].get((r, c), 0) + \
+            data.draw(st.sampled_from((-2, -1, 1, 2)))
+    X = ChainComplex(C.lo, C.hi, C.ranks, d, check=False)
+    want = [k for k in range(X.lo + 1, X.hi + 1)
+            if any(map(any, exact.mat_mul(X.boundary_dense(k - 1),
+                                          X.boundary_dense(k))))]
+    assert set(planted) <= set(want)
+    assert X.verify() == want

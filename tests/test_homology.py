@@ -50,6 +50,15 @@ def test_moore_reduced_homology(moore3):
     assert C.euler_characteristic() == 0
 
 
+def test_chain_complex_is_built_once_per_delta_set(corpus):
+    for K in (corpus["RP2"], dsx.circle(), dsx.EMPTY):
+        for reduced in (False, True):
+            assert dsx.chain_complex(K, reduced) is \
+                dsx.chain_complex(K, reduced=reduced)
+        assert dsx.chain_complex(K) is not \
+            dsx.chain_complex(K, reduced=True)
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------

@@ -413,6 +413,11 @@ def test_cli_refuses_files_without_simplices(tmp_path, monkeypatch, argv,
     ["fill-horns", "K", "--max-dim", "1", "--rounds", "-3", "-o", "o.json"],
     ["certify", "K", "L", "--budget", "-1"],
     ["certify", "K", "L", "--budget", "0"],
+    ["moore", "--p", "3", "--coherence", "1"],
+    ["moore", "--p", "3", "--coherence", "0"],
+    ["moore", "--p", "3", "--coherence", "-3"],
+    ["moore", "--p", "3", "--coherence", "3"],
+    ["moore", "--p", "2", "--coherence", "2"],
 ])
 def test_cli_refuses_out_of_range_numbers(argv):
     # refused while parsing, before any file is read

@@ -186,6 +186,21 @@ def test_sigma_action_commutes_with_faces_exhaustively(moore3_p2):
         assert orbit_cell_name(rep) == om[s]
 
 
+def test_orbit_map_names_each_cell_by_its_least_member(moore3_p2):
+    # the orbit of a W cell is named "O" + the name of the least member
+    # of its orbit, i.e. orbit_cell_name(_orbit_rep(cell data))
+    from dsx.moore import _orbit_rep, orbit_cell_name
+    from dsx.products import cell_data
+    mu = moore3_p2.projection(1, 1)
+    P3, om3, W3 = dsx.symmetric_power_of(dsx.s_bracket(3), 3)
+    assert dsx.is_valid(P3)
+    for W, mapping in ((mu.source, mu.mapping), (W3, om3.mapping)):
+        assert set(mapping) == set(W.dim_of)
+        for d, s in W.all_cells():
+            assert mapping[s] == \
+                orbit_cell_name(_orbit_rep(*cell_data(W, s))), s
+
+
 def test_power_projection_associativity_generic():
     # the mandated cache bound p - 1 = 2 at p = 3 leaves no room for a
     # triple, so the associativity square is exercised generically on the
@@ -269,6 +284,37 @@ def test_free_module_report_circle(moore3_p2):
     rep = moore3_p2.free_module_report(dsx.circle(), 2)
     assert rep.all_pass()
     assert rep.levels[2]["method"] == "integral-cone"
+
+
+def test_moore_cli_builds_the_square_complex_once(monkeypatch):
+    # P^2's complex serves both its certification and the coherence cone
+    import io as _io
+    from importlib import import_module
+    from dsx.cli import run
+    hom, moore = import_module("dsx.homology"), import_module("dsx.moore")
+    built = []
+    build = hom._build_chain_complex
+
+    def counting_build(K, reduced):
+        built.append((K, reduced))
+        return build(K, reduced)
+
+    powers = []
+    power = moore.symmetric_power_of
+
+    def recording_power(X, i):
+        out = power(X, i)
+        powers.append(out[0])
+        return out
+
+    monkeypatch.setattr(hom, "_build_chain_complex", counting_build)
+    monkeypatch.setattr(moore, "symmetric_power_of", recording_power)
+    status, _ = run(["moore", "--p", "3", "--power", "2",
+                     "--coherence", "2"], stream=_io.StringIO())
+    assert status == 0
+    [P2] = powers
+    assert [r for K, r in built if K is P2] == [True]
+    assert len({(id(K), r) for K, r in built}) == len(built)
 
 
 def test_free_module_report_rejects_bad_level(moore3):
