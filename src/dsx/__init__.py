@@ -22,7 +22,8 @@ from .exact import smith
 from .homology import (ChainComplex, HomologyGroup, chain_complex, homology,
                        homology_of, homology_table, is_acyclic,
                        homology_with_generators, induced_map,
-                       integral_map_is_iso, is_homology_iso, bockstein,
+                       integral_map_is_iso, is_homology_iso, is_quasi_iso,
+                       bockstein,
                        fp_matrix_is_iso, certify_moore, chain_map_matrices,
                        mapping_cone_complex, complex_from_matrices)
 from .dgred import (GradedMap, ExteriorModule, ModnReduction,

@@ -19,10 +19,17 @@ from .delta import SubDeltaSet, validate
 from .dgred import order_tower, reduce_mod_n, uv_identities
 from .homology import bockstein, certify_moore, homology_of, \
     homology_table, is_prime
-from .moore import MooreSystem
+from .moore import MooreSystem, moore_counts
 from .moves import BudgetExhausted, cone, find_collapse_sequence, \
     fill_horns, mapping_cylinder
-from .products import geometric_product, smash
+from .products import geometric_product, smash, smash_counts
+
+# The largest Delta-set that `dsx moore` builds is the smash power M^(/\ i),
+# i the largest of --power and --coherence (P^i is its orbit set).  A run
+# whose M^(/\ i) is predicted to have more cells than this is refused with
+# exit 2 before anything is built.  At some 1.5 KB per cell, the budget is
+# about 1.5 GB; M /\ M has 146,000 cells at p = 5 and 986,960 at p = 13.
+MAX_CELLS = 1_000_000
 
 
 class _CliError(Exception):
@@ -112,7 +119,10 @@ def build_parser():
     p.add_argument("--p", type=_prime, required=True)
     p.add_argument("--degree", type=_at_least(0), required=True)
 
-    p = sub.add_parser("moore", help="build and certify Moore data")
+    p = sub.add_parser("moore", help="build and certify Moore data",
+                       description="refuses, with exit 2, a run whose "
+                                   f"largest smash power M^i would have "
+                                   f"more than {MAX_CELLS} cells")
     p.add_argument("--p", type=_at_least(2), required=True)
     p.add_argument("--power", type=_at_least(1))
     p.add_argument("--coherence", type=int)
@@ -298,6 +308,14 @@ def _cmd_bockstein(ns, report):
 
 
 def _cmd_moore(ns, report):
+    i = max(ns.power or 1, ns.coherence or 1)
+    m = counts = moore_counts(ns.p)
+    j = 1
+    while j < i and sum(counts) <= MAX_CELLS:  # a smash loses no cells
+        counts, j = smash_counts(counts, m), j + 1
+    if sum(counts) > MAX_CELLS:
+        raise _CliError(f"M^{i} at p = {ns.p} is past the budget of "
+                        f"{MAX_CELLS} cells: M^{j} has {sum(counts)}", 2)
     sys_ = MooreSystem(ns.p)
     ok = _check(report, "moore-homology", True, table=_table(sys_.table))
     report["tables"]["moore"] = _table(sys_.table)

@@ -16,9 +16,11 @@ computational backbone for every homology verdict in the package:
   equivalence, so the pivot order can change the residue but no homology
   and no verdict.  Three entry points go through it: `morse_reduce`
   shrinks a whole chain complex to a homotopy-equivalent one (over Z, or
-  over Z/p^2 for the Bockstein), `sparse_rank_and_factors` hands the
-  unit-free residue of one matrix to dense Smith for its invariant
-  factors, and `sparse_rank_mod_p` gives the rank over F_p,
+  over Z/p^2 for the Bockstein) and returns its pivot record, which
+  `morse_carry` replays to carry a chain map into the residue,
+  `sparse_rank_and_factors` hands the unit-free residue of one matrix to
+  dense Smith for its invariant factors, and `sparse_rank_mod_p` gives
+  the rank over F_p,
 * dense mod-p ranks (`fp_rref`, `fp_rank`), the only dense mod-p code.
 """
 
@@ -410,12 +412,11 @@ class SparseMat:
                     if not col:
                         del self.cols[c]
 
-    def col_axpy(self, j, c, q, p=None):
-        """col_j += q * col_c, reduced mod p when p is given (updates the
-        row index)."""
+    def col_axpy(self, j, colc, q, p=None):
+        """col_j += q * colc for a column dict colc {row: value}, reduced
+        mod p when p is given (updates the row index)."""
         if q == 0:
             return
-        colc = self.cols.get(c, {})
         colj = self.cols.setdefault(j, {})
         for r, v in colc.items():
             nv = colj.get(r, 0) + q * v
@@ -501,7 +502,7 @@ def _cancel_pair(mats, k, r, c, q, queue, heap):
         v = col[r]
         inv = v if q is None else pow(v, -1, q)
         for j in others:
-            m.col_axpy(j, c, -m.cols[j][r] * inv, q)
+            m.col_axpy(j, col, -m.cols[j][r] * inv, q)
             colj = m.cols.get(j)
             if heap is not None and colj:
                 for r2, v2 in colj.items():
@@ -525,7 +526,9 @@ def _cancel_pair(mats, k, r, c, q, queue, heap):
 
 def _cancel_units(mats, q=None):
     """Cancel unit entries of the boundary matrices `mats` (degree k ->
-    SparseMat of d_k) in place; returns the cancelled (k, row, col) pairs.
+    SparseMat of d_k) in place; returns the pivots (k, row, col, column)
+    in order, where column is the dict {row: value} of d_k's column col at
+    its cancellation (the step pops it and never changes it afterwards).
 
     Over Z (q None) the units are the +-1 entries; over Z/q the entries
     must already be reduced mod q and the units are those prime to q (over
@@ -583,8 +586,8 @@ def _cancel_units(mats, q=None):
             if cur > cost:
                 heapq.heappush(heap, (cur, k, r, c))
                 continue
+        pairs.append((k, r, c, m.cols[c]))
         _cancel_pair(mats, k, r, c, q, queue, heap)
-        pairs.append((k, r, c))
     return pairs
 
 
@@ -614,9 +617,10 @@ def morse_reduce(ranks, boundaries, q=None):
 
     `ranks` maps degree -> number of cells, `boundaries` maps degree k to a
     COO dict {(row, col): v} for d_k : C_k -> C_{k-1}.  Returns reduced
-    (ranks, boundaries) of a complex with identical homology: each
+    (ranks, boundaries, pivots) of a complex with identical homology: each
     cancellation is a chain homotopy equivalence over Z (so homology with
-    every coefficient ring is preserved), or over Z/q.
+    every coefficient ring is preserved), or over Z/q.  `pivots` is the
+    record of `_cancel_units`, which `morse_carry` replays.
     """
     mats = {k: SparseMat.from_entries(ranks.get(k - 1, 0), ranks.get(k, 0),
                                       coo)
@@ -624,27 +628,59 @@ def morse_reduce(ranks, boundaries, q=None):
     if q is not None:
         for m in mats.values():
             m.reduce_mod(q)
-    alive = {k: set(range(n)) for k, n in ranks.items()}
-    for k, r, c in _cancel_units(mats, q):
-        alive[k].discard(c)
-        alive[k - 1].discard(r)
-
-    new_index = {}
-    new_ranks = {}
-    for k, cells in alive.items():
-        ordered = sorted(cells)
-        new_index[k] = {old: i for i, old in enumerate(ordered)}
-        new_ranks[k] = len(ordered)
+    pivots = _cancel_units(mats, q)
+    index = _residue_index(ranks, pivots)
     new_boundaries = {}
     for k, m in mats.items():
-        coo = {}
-        idx_lo = new_index.get(k - 1, {})
-        idx_hi = new_index.get(k, {})
-        for c, col in m.cols.items():
-            for r, v in col.items():
-                coo[(idx_lo[r], idx_hi[c])] = v
-        new_boundaries[k] = coo
-    return new_ranks, new_boundaries
+        rows, cols = index.get(k - 1, {}), index.get(k, {})
+        new_boundaries[k] = {(rows[r], cols[c]): v
+                             for c, col in m.cols.items()
+                             for r, v in col.items()}
+    return {k: len(idx) for k, idx in index.items()}, new_boundaries, pivots
+
+
+def _residue_index(ranks, pivots):
+    """Degree -> {old cell index: residue index} of the cells that no
+    pivot cancelled; the residue keeps their order."""
+    dead = {k: set() for k in ranks}
+    for k, r, c, _ in pivots:
+        dead[k].add(c)
+        dead[k - 1].add(r)
+    return {k: {old: i for i, old in enumerate(
+                [j for j in range(n) if j not in dead[k]])}
+            for k, n in ranks.items()}
+
+
+def morse_carry(ranks, pivots, maps):
+    """Carry a chain map into the residue of a Morse reduction over Z.
+
+    `ranks` and `pivots` are a complex C's ranks and the pivot record that
+    morse_reduce(ranks, ...) returned; `maps` sends degree m to the COO
+    dict {(row, col): v} of F_m : X_m -> C_m.  Returns the COO dicts of
+    pi o F in residue coordinates, where pi : C -> residue is the chain
+    projection of the reduction.  A pivot (k, r, c, column) with unit v at
+    row r is the quotient by the contractible pair {c, d(c)}: on C_{k-1}
+    it sends y to y - (y[r] / v) * column, whose row r is zero, and on C_k
+    it drops coordinate c.  Each pivot touches only the columns of F with
+    an entry at r or c, the way it touched the other columns of d_k.
+    """
+    mats = {m: SparseMat.from_entries(
+                ranks.get(m, 0), 1 + max((c for _, c in coo), default=-1),
+                coo)
+            for m, coo in maps.items()}
+    for k, r, c, column in pivots:
+        below = mats.get(k - 1)
+        if below is not None:
+            v = column[r]
+            for j in list(below.rows.get(r, ())):
+                below.col_axpy(j, column, -below.cols[j][r] * v)
+        above = mats.get(k)
+        if above is not None:
+            above.remove_row(c)
+    index = _residue_index(ranks, pivots)
+    return {m: {(index[m][r], c): v for c, col in G.cols.items()
+                for r, v in col.items()}
+            for m, G in mats.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,21 @@ Homology takes one route for every coefficient ring: the complex is
 Morse-reduced once over Z (exact.morse_reduce, a chain homotopy
 equivalence, so homology with every coefficient ring is unchanged), and
 each residue boundary then goes to exact.sparse_rank_and_factors (Z, Q) or
-exact.sparse_rank_mod_p (F_p).  Isomorphism verdicts for chain maps go
-through acyclicity of the mapping cone, which needs ranks and invariant
-factors only.
+exact.sparse_rank_mod_p (F_p).  A complex computes its residue once and
+caches it, with the reduction's pivot record.
+
+Isomorphism verdicts for chain maps go through acyclicity of the mapping
+cone, which needs ranks and invariant factors only.  The cone of
+F : CS -> CT is built on CT's residue R, not on CT: exact.morse_carry
+replays CT's pivot record on F's columns and gives G = pi o F : CS -> R,
+pi being the reduction's chain projection.  The verdict is the one the
+literal cone gives.  CT is a subcomplex of cone(F), and CT's columns only
+ever receive multiples of CT columns, so CT's pivots, in their recorded
+order, are valid unit pivots of cone(F); once they are done, the cone is
+literally cone(CS, R, G).  Equivalently, pi is a chain homotopy
+equivalence over Z, so cone(G) is chain homotopy equivalent to cone(F)
+(Harker-Mischaikow-Mrozek-Nanda, FoCM 14, 2014).  The small cone is built
+with its d o d = 0 check, which also checks that G is a chain map.
 
 The mod-p Bockstein is the connecting map of 0 -> Z/p -> Z/p^2 -> Z/p -> 0,
 so it depends only on the chains over Z/p^2.  The same kernel Morse-reduces
@@ -47,10 +59,12 @@ class ChainComplex:
 
     ranks[k] is the rank in degree k; d[k] is a COO dict {(row, col): v}
     for the boundary C_k -> C_{k-1}.  `basis[k]`, when present, names the
-    generators (used to align induced maps with Delta-set cells).
+    generators (used to align induced maps with Delta-set cells).  The
+    complex adopts the dicts of `d` without copying them, so they must not
+    be changed afterwards.
     """
 
-    __slots__ = ("lo", "hi", "ranks", "d", "basis")
+    __slots__ = ("lo", "hi", "ranks", "d", "basis", "_morse")
 
     def __init__(self, lo, hi, ranks, d, basis=None, check=True):
         self.lo = lo
@@ -58,14 +72,14 @@ class ChainComplex:
         self.ranks = {k: int(ranks.get(k, 0)) for k in range(lo, hi + 1)}
         self.d = {}
         for k in range(lo, hi + 1):
-            coo = {kv: int(v) for kv, v in d.get(k, {}).items() if v}
-            if self.ranks.get(k, 0) and self.ranks.get(k - 1, 0):
-                self.d[k] = coo
-            elif coo:
-                raise ValueError(f"boundary in degree {k} has no room")
-            else:
-                self.d[k] = {}
+            coo = d.get(k, {})
+            if not (self.ranks.get(k, 0) and self.ranks.get(k - 1, 0)):
+                if any(coo.values()):
+                    raise ValueError(f"boundary in degree {k} has no room")
+                coo = {}
+            self.d[k] = coo
         self.basis = basis
+        self._morse = None  # (residue, pivot record), once computed
         if check:
             bad = self.verify()
             if bad:
@@ -112,14 +126,24 @@ class ChainComplex:
 
     def morse_reduced(self):
         """A homotopy-equivalent complex with unit boundary entries
-        cancelled (same homology for every coefficient ring).  The residue
-        checks itself: d o d = 0, and the Euler characteristic is kept."""
-        ranks, bnd = exact.morse_reduce(self.ranks, self.d)
-        W = ChainComplex(self.lo, self.hi, ranks, bnd)
-        if W.euler_characteristic() != self.euler_characteristic():
-            raise ValueError("Morse reduction changed the Euler "
-                             "characteristic")
-        return W
+        cancelled (same homology for every coefficient ring), computed
+        once and cached with its pivot record.  The residue checks itself:
+        d o d = 0, and the Euler characteristic is kept."""
+        if self._morse is None:
+            ranks, bnd, pivots = exact.morse_reduce(self.ranks, self.d)
+            W = ChainComplex(self.lo, self.hi, ranks, bnd)
+            if W.euler_characteristic() != self.euler_characteristic():
+                raise ValueError("Morse reduction changed the Euler "
+                                 "characteristic")
+            self._morse = (W, pivots)
+        return self._morse[0]
+
+    def to_residue(self, maps):
+        """pi o F for a chain map F into this complex, given by per-degree
+        COO dicts maps[m] : X_m -> C_m: a chain map into morse_reduced(),
+        pi being the reduction's chain projection (exact.morse_carry)."""
+        self.morse_reduced()
+        return exact.morse_carry(self.ranks, self._morse[1], maps)
 
     def __repr__(self):
         rk = [self.ranks.get(k, 0) for k in range(self.lo, self.hi + 1)]
@@ -317,7 +341,8 @@ def mapping_cone_complex(CS, CT, mats):
     matrices mats[k] : CS_k -> CT_k; acyclic iff F is a homology iso.
 
     Degree k is CT_k (+) CS_{k-1} with d(y, x) = (dy + Fx, -dx), for k from
-    min(CT.lo, CS.lo + 1) to max(CT.hi, CS.hi + 1).
+    min(CT.lo, CS.lo + 1) to max(CT.hi, CS.hi + 1).  Its d o d = 0 check
+    also checks that F is a chain map (a ValueError otherwise).
     """
     lo = min(CT.lo, CS.lo + 1)
     hi = max(CT.hi, CS.hi + 1)
@@ -331,15 +356,23 @@ def mapping_cone_complex(CS, CT, mats):
         for (r, c), v in CS.d.get(k - 1, {}).items():
             coo[(off_row + r, off_col + c)] = -v
         d[k] = coo
-    return ChainComplex(lo, hi, ranks, d, check=False)
+    return ChainComplex(lo, hi, ranks, d)
+
+
+def is_quasi_iso(CS, CT, mats, coeff="Z", p=None):
+    """Whether a chain map F : CS -> CT, given by per-degree COO matrices
+    mats[k] : CS_k -> CT_k, induces an isomorphism on homology in every
+    degree: whether cone(CS, R, pi o F) is acyclic, R being CT's Morse
+    residue and pi its chain projection (see the module docstring)."""
+    cone = mapping_cone_complex(CS, CT.morse_reduced(), CT.to_residue(mats))
+    return is_acyclic(cone, coeff=coeff, p=p)
 
 
 def is_homology_iso(f, coeff="Z", p=None, reduced=None):
     """Whether a (based) Delta-morphism induces an isomorphism on homology
     in every degree, decided by acyclicity of its mapping cone."""
-    CS, CT, mats = chain_map_matrices(f, reduced=reduced)
-    cone = mapping_cone_complex(CS, CT, mats)
-    return is_acyclic(cone, coeff=coeff, p=p)
+    return is_quasi_iso(*chain_map_matrices(f, reduced=reduced),
+                        coeff=coeff, p=p)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +562,7 @@ def bockstein(K, p, k):
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     C = chain_complex(K, reduced=True)
-    ranks, bnd = exact.morse_reduce(C.ranks, C.d, q=p * p)
+    ranks, bnd, _ = exact.morse_reduce(C.ranks, C.d, q=p * p)
     if any(v % p for coo in bnd.values() for v in coo.values()):
         raise ValueError(f"a residue entry over Z/{p * p} is not divisible "
                          f"by {p}")

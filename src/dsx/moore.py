@@ -23,8 +23,7 @@ from .based import based_quotient, finite_model, basepoint_name
 from .products import (smash, n_ary_smash, n_ary_product, cell_name,
                        cell_data, smash_morphism, smash_morphism_left)
 from .moves import ExpansionCertificate, Move
-from .homology import (certify_moore, is_homology_iso, chain_map_matrices,
-                       mapping_cone_complex, homology)
+from .homology import certify_moore, is_homology_iso
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +271,14 @@ def moore_space(n):
     return M, iota, table
 
 
+def moore_counts(n):
+    """Non-basepoint cells per dimension of moore_space(n), without
+    building it.  S2 has (0, 1, 2) cells; the cone I /\\ X on
+    X = S1 /\\ S<n>, whose cells are (0, 2n - 1, 2n), adds
+    (0, 2n - 1, 8n - 2, 6n) cells outside X (products.smash_counts)."""
+    return (0, 2 * n, 8 * n, 6 * n)
+
+
 # ---------------------------------------------------------------------------
 # symmetric powers
 # ---------------------------------------------------------------------------
@@ -293,6 +300,16 @@ def _orbit_rep(xs, pts):
     return best
 
 
+def _least_factors(xs):
+    """(least rearrangement of the factor tuple xs, positions in
+    permutation order of the sigmas that give it).  The least member of an
+    orbit has these factors; only the charts of those sigmas can tie."""
+    perms = [tuple(xs[t] for t in sigma)
+             for sigma in permutations(range(len(xs)))]
+    least = min(perms)
+    return least, [i for i, ys in enumerate(perms) if ys == least]
+
+
 def orbit_cell_name(rep):
     return "O" + cell_name(*rep)
 
@@ -312,13 +329,23 @@ def symmetric_power_of(X, i):
         return X, identity_morphism(X), X
     W = n_ary_smash([X] * i)
     # the least member of an orbit is itself a cell of W, so the orbit is
-    # named "O" + that cell's name, which is orbit_cell_name(rep)
+    # named "O" + that cell's name, which is orbit_cell_name(rep); rep is
+    # _orbit_rep(xs, pts), with the factors compared once per factor tuple
+    ties = {}  # factor tuple -> _least_factors(factor tuple)
     cell_reps = []
     least = []  # (dim, W cell, representative) of each orbit's least member
     names = {}  # orbit representative -> orbit name
     for d, s in W.all_cells():
-        key = cell_data(W, s)
-        rep = _orbit_rep(*key)
+        key = xs, pts = cell_data(W, s)
+        tie = ties.get(xs)
+        if tie is None:
+            tie = ties[xs] = _least_factors(xs)
+        least_xs, sigmas = tie
+        if sigmas == [0]:  # the identity alone gives the least factors
+            rep = key
+        else:
+            permuted = _permuted_charts(pts)
+            rep = (least_xs, min(permuted[t][1] for t in sigmas))
         cell_reps.append((s, rep))
         if rep == key:
             names[rep] = "O" + s
@@ -466,8 +493,8 @@ class MooreSystem:
         S2 /\\ P^{j-1} /\\ K -> P^j /\\ K is a homology isomorphism.
 
         Every level is decided over Z by acyclicity of the mapping cone
-        (method "integral-cone"): the cone is Morse-reduced and its residue
-        eliminated, so torsion at every prime is seen.  Returns a
+        (method "integral-cone", built on the target's Morse residue by
+        is_homology_iso), so torsion at every prime is seen.  Returns a
         CoherenceReport.
         """
         if not 1 <= k <= self.p - 1:
@@ -476,14 +503,10 @@ class MooreSystem:
         for j in range(2, k + 1):
             g = self.coherence_map(j)
             gK = smash_morphism(g, K)
-            CS, CT, mats = chain_map_matrices(gK)
-            cone = mapping_cone_complex(CS, CT, mats)
-            groups = homology(cone, coeff="Z")
-            entry = {"j": j, "source_cells": gK.source.n_cells(),
-                     "target_cells": gK.target.n_cells(),
-                     "method": "integral-cone",
-                     "iso": all(g_.is_trivial() for g_ in groups.values())}
-            levels[j] = entry
+            levels[j] = {"j": j, "source_cells": gK.source.n_cells(),
+                         "target_cells": gK.target.n_cells(),
+                         "method": "integral-cone",
+                         "iso": is_homology_iso(gK)}
         return CoherenceReport(self.p, k, levels)
 
 

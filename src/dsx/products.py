@@ -27,6 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import product as iproduct
+from math import factorial
 from operator import sub
 
 from .delta import DeltaSet, DeltaMorphism, pushout
@@ -57,6 +58,23 @@ def charts(dims):
 
     start = (0,) * r
     extend(start, [start])
+    return tuple(out)
+
+
+def smash_counts(a, b):
+    """Cells per dimension of K (x) L from those of K and L, or of K /\\ L
+    from the non-basepoint cells of based K and L; nothing is built.
+
+    An i-cell and a j-cell span one d-cell for each canonical chart into
+    [i] x [j] with d + 1 points: a lattice path of d steps, i + j - d of
+    them diagonal, so there are d! / ((i + j - d)! (d - i)! (d - j)!).
+    """
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            for d in range(max(i, j), i + j + 1):
+                out[d] += x * y * factorial(d) // (
+                    factorial(i + j - d) * factorial(d - i) * factorial(d - j))
     return tuple(out)
 
 

@@ -9,7 +9,10 @@ their cones, where the free-face and coreduction queue cancels across
 degrees, must have the homology that dense reduction gives with no Morse
 step at all.  The d o d check of a chain complex, run on Delta-set
 complexes with entries planted in two degrees, must report exactly the
-degrees where the dense product d_{k-1} d_k is nonzero.
+degrees where the dense product d_{k-1} d_k is nonzero.  A chain map's
+verdict, decided on its target's Morse residue with the map carried
+through the pivot record, must be the one dense homology of the literal
+cone gives.
 """
 
 import random
@@ -78,8 +81,8 @@ def test_morse_reduce_mod_p_squared_matches_sympy(A):
     # A as the one boundary of a two-term complex, reduced over Z/p^2
     m, n = len(A), len(A[0])
     for p in (2, 3, 5):
-        ranks, bnd = exact.morse_reduce({0: m, 1: n}, {1: coo_of(A)},
-                                        q=p * p)
+        ranks, bnd, _ = exact.morse_reduce({0: m, 1: n}, {1: coo_of(A)},
+                                           q=p * p)
         assert all(v % p == 0 for v in bnd[1].values()), p
         assert m - ranks[0] == n - ranks[1] == \
             DomainMatrix.from_list(A, GF(p)).rank(), p
@@ -105,7 +108,7 @@ def test_homology_of_random_complexes_and_cones_matches_dense(
                    for k, g in dsx.homology(C, coeff=coeff, p=p).items()}
             assert got == dense_homology(C, coeff, p), (X, coeff, p)
     C = dsx.chain_complex(CK, reduced=True)
-    ranks, _ = exact.morse_reduce(C.ranks, C.d)
+    ranks, _, _ = exact.morse_reduce(C.ranks, C.d)
     assert sum(ranks.values()) == 0
 
 
@@ -141,3 +144,91 @@ def test_d_squared_check_matches_dense_products(K, data):
                                           X.boundary_dense(k))))]
     assert set(planted) <= set(want)
     assert X.verify() == want
+
+
+def mul(A, B, m, n):
+    """The m x n product of dense A and B, either of which may be empty."""
+    inner = len(B)
+    return [[sum(A[i][t] * B[t][j] for t in range(inner)) for j in range(n)]
+            for i in range(m)]
+
+
+@st.composite
+def chain_maps(draw, top=3):
+    """(CS, CT, F): CT is an elementary complex S with its bases changed by
+    random unimodular U_k, CS = S (+) E for another elementary complex E,
+    and F = (U, 0) + dH + Hd for a random H : CS_k -> CT_{k+1}.  F is a
+    chain map, and a homology iso over a ring exactly when E is acyclic
+    over it."""
+    def elementary():
+        # (k, n): a free Z in degree k if n == 0 or k == 0, else a pair of
+        # cells with d = n from degree k to k - 1
+        pieces = draw(st.lists(st.tuples(
+            st.integers(0, top), st.sampled_from((0, 1, -1, 1, -1, 2, 3, 6))),
+            min_size=1, max_size=5))
+        ranks = dict.fromkeys(range(top + 1), 0)
+        entries = []
+        for k, n in pieces:
+            ranks[k] += 1
+            if n and k:
+                ranks[k - 1] += 1
+                entries.append((k, ranks[k - 1] - 1, ranks[k] - 1, n))
+        d = {k: exact.zeros(ranks[k - 1], ranks[k])
+             for k in range(1, top + 1)}
+        for k, r, c, n in entries:
+            d[k][r][c] = n
+        return ranks, d
+
+    def unimodular(n):
+        U, Uinv = exact.eye(n), exact.eye(n)
+        if n > 1:
+            for _ in range(draw(st.integers(0, 6))):
+                i, j = draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                     max_size=2, unique=True))
+                c = draw(st.sampled_from((-2, -1, 1, 2)))
+                U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+                for row in Uinv:
+                    row[j] -= c * row[i]
+        return U, Uinv
+
+    ranks, dS = elementary()
+    eranks, dE = elementary()
+    U = {k: unimodular(ranks[k]) for k in range(top + 1)}
+    dT = {k: mul(mul(U[k - 1][0], dS[k], ranks[k - 1], ranks[k]),
+                 U[k][1], ranks[k - 1], ranks[k])
+          for k in range(1, top + 1)}
+    sranks = {k: ranks[k] + eranks[k] for k in range(top + 1)}
+    dCS = {k: [row + [0] * eranks[k] for row in dS[k]]
+           + [[0] * ranks[k] + row for row in dE[k]]
+           for k in range(1, top + 1)}
+    H = {k: [[draw(st.sampled_from((0, 0, 1, -1, 2)))
+              for _ in range(sranks[k])] for _ in range(ranks[k + 1])]
+         for k in range(top)}
+    F = {}
+    for k in range(top + 1):
+        m, n = ranks[k], sranks[k]
+        Fk = [row + [0] * eranks[k] for row in U[k][0]]
+        if k < top:
+            Fk = exact.mat_add(Fk, mul(dT[k + 1], H[k], m, n))
+        if k > 0:
+            Fk = exact.mat_add(Fk, mul(H[k - 1], dCS[k], m, n))
+        F[k] = Fk
+    CT = dsx.complex_from_matrices(0, top, ranks, dT)
+    CS = dsx.complex_from_matrices(0, top, sranks, dCS)
+    return CS, CT, F
+
+
+@settings(max_examples=80, deadline=None)
+@given(chain_maps(), st.sampled_from((-1, 2, 3, 6)))
+def test_verdict_through_the_residue_matches_the_literal_cone(maps, n):
+    # the cone on CT's Morse residue, with F carried through CT's pivot
+    # record, against dense homology of the literal cone over Z, F2, F3
+    CS, CT, F = maps
+    for mats in (F, {k: exact.mat_scale(n, A) for k, A in F.items()}):
+        coo = {k: coo_of(A) for k, A in mats.items()}
+        literal = dsx.mapping_cone_complex(CS, CT, coo)
+        for coeff, p in (("Z", None), ("F", 2), ("F", 3)):
+            want = all(free == 0 and not tors for free, tors in
+                       dense_homology(literal, coeff, p).values())
+            assert dsx.is_quasi_iso(CS, CT, coo, coeff, p) == want, \
+                (n, coeff, p)

@@ -426,6 +426,40 @@ def test_cli_refuses_out_of_range_numbers(argv):
     assert report == {"error": "argument parsing"}
 
 
+@pytest.mark.parametrize("argv", [
+    ["moore", "--p", "5", "--coherence", "3"],
+    ["moore", "--p", "3", "--power", "3"],
+    ["moore", "--p", "3", "--power", "1000000"],
+    ["moore", "--p", "1000003"],
+])
+def test_cli_refuses_moore_runs_past_the_cell_budget(argv, monkeypatch):
+    # refused from the predicted size of M^i, before any smash is built
+    def no_smash(factors):
+        raise AssertionError("a smash product was built")
+
+    for module in ("dsx.products", "dsx.moore"):
+        monkeypatch.setattr(f"{module}.n_ary_smash", no_smash)
+    status, report = run(argv, stream=_io.StringIO())
+    assert status == 2
+    assert "budget" in report["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["moore", "--p", "7", "--power", "2", "--coherence", "2"],
+    ["moore", "--p", "13", "--power", "2"],
+])
+def test_cli_moore_budget_admits_the_squares(argv, monkeypatch):
+    class Admitted(Exception):
+        pass
+
+    def admitted(p):
+        raise Admitted
+
+    monkeypatch.setattr("dsx.cli.MooreSystem", admitted)
+    with pytest.raises(Admitted):
+        run(argv, stream=_io.StringIO())
+
+
 # SHA-256 of the structured reports, without timings, of `dsx dg reduce`
 # and `dsx dg tower` on two fixed three-term complexes, one of them in
 # degrees -1..1; the file names are relative, so the reports do not

@@ -287,7 +287,8 @@ def test_free_module_report_circle(moore3_p2):
 
 
 def test_moore_cli_builds_the_square_complex_once(monkeypatch):
-    # P^2's complex serves both its certification and the coherence cone
+    # P^2's complex, and its Morse reduction, serve both its certification
+    # and the coherence cone
     import io as _io
     from importlib import import_module
     from dsx.cli import run
@@ -299,6 +300,13 @@ def test_moore_cli_builds_the_square_complex_once(monkeypatch):
         built.append((K, reduced))
         return build(K, reduced)
 
+    reduced_ranks = []
+    morse_reduce = exact.morse_reduce
+
+    def recording_reduce(ranks, boundaries, q=None):
+        reduced_ranks.append(ranks)
+        return morse_reduce(ranks, boundaries, q)
+
     powers = []
     power = moore.symmetric_power_of
 
@@ -309,12 +317,18 @@ def test_moore_cli_builds_the_square_complex_once(monkeypatch):
 
     monkeypatch.setattr(hom, "_build_chain_complex", counting_build)
     monkeypatch.setattr(moore, "symmetric_power_of", recording_power)
+    monkeypatch.setattr(exact, "morse_reduce", recording_reduce)
     status, _ = run(["moore", "--p", "3", "--power", "2",
                      "--coherence", "2"], stream=_io.StringIO())
     assert status == 0
     [P2] = powers
     assert [r for K, r in built if K is P2] == [True]
     assert len({(id(K), r) for K, r in built}) == len(built)
+    # one reduction of P^2's complex, and none of a larger one
+    C = hom.chain_complex(P2, reduced=True)
+    assert [ranks for ranks in reduced_ranks if ranks is C.ranks] == \
+        [C.ranks]
+    assert max(map(sum, map(dict.values, reduced_ranks))) == C.total_rank()
 
 
 def test_free_module_report_rejects_bad_level(moore3):

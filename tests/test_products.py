@@ -237,6 +237,27 @@ def test_nary_top_count_and_unit():
     assert dsx.n_ary_product([K]) is K
 
 
+def test_smash_counts_predict_built_counts(corpus, moore3_p2):
+    from dsx.moore import moore_counts
+    from dsx.products import smash_counts
+    for a, b in (("torus", "RP2"), ("bdD3", "horn21"), ("square", "C4")):
+        K, L = corpus[a], corpus[b]
+        assert smash_counts(K.counts(), L.counts()) == \
+            dsx.geometric_product(K, L).counts(), (a, b)
+    for p in (2, 3, 5, 7):
+        assert moore_counts(p) == dsx.moore_space(p)[0].counts(), p
+    M5 = dsx.moore_space(5)[0]
+    for M, W, cells in ((moore3_p2.M, moore3_p2.projection(1, 1).source,
+                         52_560),
+                        (M5, dsx.smash(M5, M5), 146_000)):
+        assert smash_counts(M.counts(), M.counts()) == W.counts()
+        assert sum(W.counts()) == cells
+    # the cubes are predicted, never built
+    for p, cells in ((3, 239_525_856), (5, 1_108_916_000)):
+        m = moore_counts(p)
+        assert sum(smash_counts(smash_counts(m, m), m)) == cells
+
+
 def test_bracketing_isomorphisms():
     C2a = dsx.cycle_graph(3)
     C2b = dsx.cycle_graph(4)
