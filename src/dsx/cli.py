@@ -26,8 +26,9 @@ from .products import geometric_product, smash, smash_counts
 
 # The largest Delta-set that `dsx moore` builds is the smash power M^(/\ i),
 # i the largest of --power and --coherence (P^i is its orbit set).  A run
-# whose M^(/\ i) is predicted to have more cells than this is refused with
-# exit 2 before anything is built.  At some 1.5 KB per cell, the budget is
+# whose M^(/\ i), or a `dsx product` or `dsx smash` whose output, is
+# predicted to have more cells than this is refused with exit 2 before
+# anything is built.  At some 1.5 KB per cell, the budget is
 # about 1.5 GB; M /\ M has 146,000 cells at p = 5 and 986,960 at p = 13.
 MAX_CELLS = 1_000_000
 
@@ -174,10 +175,18 @@ def _cmd_validate(ns, report):
                   violations=violations[:10])
 
 
+def _refuse_past_budget(A, B, what):
+    cells = sum(smash_counts(A.counts(), B.counts()))
+    if cells > MAX_CELLS:
+        raise _CliError(f"the {what} would have {cells} cells, past the "
+                        f"budget of {MAX_CELLS}", 2)
+
+
 def _cmd_product(ns, report):
     A, B = dio.read_delta(ns.a), dio.read_delta(ns.b)
     if A.based or B.based:
         raise _CliError("product expects unbased files (use smash)", 2)
+    _refuse_past_budget(A, B, "product")
     P = geometric_product(A, B)
     dio.write_delta(P, ns.out)
     report["tables"]["counts"] = list(P.counts())
@@ -192,6 +201,7 @@ def _cmd_smash(ns, report):
     A, B = dio.read_delta(ns.a), dio.read_delta(ns.b)
     if not (A.based and B.based):
         raise _CliError("smash expects based files", 2)
+    _refuse_past_budget(A, B, "smash")
     P = smash(A, B)
     dio.write_delta(P, ns.out)
     report["tables"]["counts"] = list(P.counts())

@@ -352,19 +352,6 @@ def smith(A, with_transforms=True):
     return SmithDecomposition(U, D, V, Ui, Vi, (m, n))
 
 
-def kernel_basis(A):
-    """Integral basis of ker(A) (columns), saturated in Z^n."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    if n == 0:
-        return []
-    if m == 0:
-        return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    S = smith(A)
-    r = S.rank()
-    return [[S.V_inv[i][j] for i in range(n)] for j in range(r, n)]
-
-
 # ---------------------------------------------------------------------------
 # sparse matrices
 # ---------------------------------------------------------------------------

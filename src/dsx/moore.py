@@ -290,16 +290,7 @@ def _permuted_charts(pts):
                  for sigma in permutations(range(len(pts[0]))))
 
 
-def _orbit_rep(xs, pts):
-    """The least (factors, chart) in the Sigma_r-orbit of (xs; pts)."""
-    best = None
-    for sigma, npts in _permuted_charts(pts):
-        cand = (tuple(xs[t] for t in sigma), npts)
-        if best is None or cand < best:
-            best = cand
-    return best
-
-
+@lru_cache(maxsize=None)
 def _least_factors(xs):
     """(least rearrangement of the factor tuple xs, positions in
     permutation order of the sigmas that give it).  The least member of an
@@ -307,7 +298,19 @@ def _least_factors(xs):
     perms = [tuple(xs[t] for t in sigma)
              for sigma in permutations(range(len(xs)))]
     least = min(perms)
-    return least, [i for i, ys in enumerate(perms) if ys == least]
+    return least, tuple(i for i, ys in enumerate(perms) if ys == least)
+
+
+def _orbit_rep(key):
+    """The least (factors, chart) in the Sigma_r-orbit of key = (xs, pts):
+    the least factors, with the least chart among the sigmas that give
+    them.  The key itself is returned when it is the least member."""
+    xs, pts = key
+    least, sigmas = _least_factors(xs)
+    if sigmas == (0,):  # the identity alone gives the least factors
+        return key
+    permuted = _permuted_charts(pts)
+    return least, min(permuted[t][1] for t in sigmas)
 
 
 def orbit_cell_name(rep):
@@ -329,27 +332,18 @@ def symmetric_power_of(X, i):
         return X, identity_morphism(X), X
     W = n_ary_smash([X] * i)
     # the least member of an orbit is itself a cell of W, so the orbit is
-    # named "O" + that cell's name, which is orbit_cell_name(rep); rep is
-    # _orbit_rep(xs, pts), with the factors compared once per factor tuple
-    ties = {}  # factor tuple -> _least_factors(factor tuple)
+    # named "O" + that cell's name, which is orbit_cell_name(rep)
     cell_reps = []
     least = []  # (dim, W cell, representative) of each orbit's least member
     names = {}  # orbit representative -> orbit name
     for d, s in W.all_cells():
-        key = xs, pts = cell_data(W, s)
-        tie = ties.get(xs)
-        if tie is None:
-            tie = ties[xs] = _least_factors(xs)
-        least_xs, sigmas = tie
-        if sigmas == [0]:  # the identity alone gives the least factors
-            rep = key
-        else:
-            permuted = _permuted_charts(pts)
-            rep = (least_xs, min(permuted[t][1] for t in sigmas))
+        key = cell_data(W, s)
+        rep = _orbit_rep(key)
         cell_reps.append((s, rep))
         if rep == key:
             names[rep] = "O" + s
             least.append((d, s, rep))
+    _least_factors.cache_clear()  # else it outlives W: 6,400 tuples at p=5
     orbit_map = {s: names[rep] for s, rep in cell_reps}
     simplices = {}
     faces = {}
@@ -393,7 +387,7 @@ class PowerSystem:
     def orbit_name(self, i, xs, pts):
         if i == 1:
             return xs[0]
-        return orbit_cell_name(_orbit_rep(xs, pts))
+        return orbit_cell_name(_orbit_rep((xs, pts)))
 
     def projection(self, i, j):
         """mu_{i,j}, the canonical projection P^i /\\ P^j -> P^{i+j}."""

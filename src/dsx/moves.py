@@ -7,11 +7,20 @@ and every other face e d_j already lies in the smaller set.  Equivalently,
 the inclusion is a pushout of the horn inclusion Lambda^i[n] -> Delta[n].
 Expansions realize to homotopy equivalences, so integral homology is
 invariant under certificate replay (a tested property, not an assumption).
+
+Moves act on one cell table, `_Cells`: each cell's dimension, faces and
+sort key, and its coface count, the number of face entries that name it.
+The counts change with each expansion and collapse, so the free-pair test
+reads them in place of scanning the cells: {e, e d_i} is free when e has
+coface count 0 and e d_i has count 1.  Certificate replay, the collapse
+search (whose node is the table), expansion recognition and horn filling
+all apply their moves to this table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop
 
 from .delta import DeltaSet, DeltaMorphism, SubDeltaSet, standard, pushout
 from .products import n_ary_product, cell_name
@@ -37,6 +46,84 @@ class Move:
                     self.e, self.i, self.e_faces, self.f_faces)
 
 
+class _Cells:
+    """A Delta-set's cells while moves are applied to it: dimensions, faces,
+    sort keys, the coface count of each cell (how many face entries name
+    it) and the set `tops` of cells with count 0.  Expanded cells take
+    their sort keys from `key_src`."""
+
+    def __init__(self, K, key_src=None):
+        if K.based:
+            raise ValueError("moves apply to unbased Delta-sets")
+        self.dim_of = dict(K.dim_of)
+        self.faces = dict(K.faces)
+        self.keys = dict(K._sort_keys)
+        self.key_src = K._sort_keys if key_src is None else key_src
+        self.cofaces = dict.fromkeys(self.dim_of, 0)
+        for fs in self.faces.values():
+            for f in fs:
+                self.cofaces[f] += 1
+        self.tops = {s for s, c in self.cofaces.items() if not c}
+
+    def expand(self, mv):
+        """Adjoin e and f = e d_i, both new; every other face of e, and
+        every face of f, must already be present in its dimension."""
+        n = len(mv.e_faces) - 1
+        if n < 1 or not 0 <= mv.i <= n:
+            raise ValueError(f"{mv.e!r} has no face {mv.i} to expand along")
+        f = mv.e_faces[mv.i]
+        if mv.e in self.dim_of or f in self.dim_of or mv.e == f:
+            raise ValueError(f"move re-adds existing simplex {mv.e!r}")
+        if len(mv.f_faces) != (n if n > 1 else 0):
+            raise ValueError(f"{f!r} has {len(mv.f_faces)} faces")
+        for j, fc in enumerate(mv.e_faces):
+            if j != mv.i and self.dim_of.get(fc) != n - 1:
+                raise ValueError(
+                    f"face {fc!r} of {mv.e!r} missing before expansion")
+        for fc in mv.f_faces:
+            if self.dim_of.get(fc) != n - 2:
+                raise ValueError(
+                    f"face {fc!r} of {f!r} missing before expansion")
+        for s, fs, d in ((f, mv.f_faces, n - 1), (mv.e, mv.e_faces, n)):
+            self.dim_of[s] = d
+            self.faces[s] = tuple(fs)
+            self.cofaces[s] = 0
+            self.tops.add(s)
+            for fc in fs:
+                self.cofaces[fc] += 1
+                self.tops.discard(fc)
+            if s in self.key_src:
+                self.keys[s] = self.key_src[s]
+
+    def free_pairs(self, among):
+        """The free pairs (e, i) with e in `among`: e is a face of nothing,
+        and f = e d_i has coface count 1, so it occurs once among e's faces
+        and is a face of nothing else."""
+        cofaces = self.cofaces
+        return [(e, i) for e in among if not cofaces[e]
+                for i, f in enumerate(self.faces[e]) if cofaces[f] == 1]
+
+    def collapse(self, e, i):
+        """Remove the free pair {e, e d_i}."""
+        if e not in self.faces or (e, i) not in self.free_pairs([e]):
+            raise ValueError(f"({e!r}, {i!r}) is not a free pair")
+        for s in (e, self.faces[e][i]):
+            for fc in self.faces.pop(s):
+                self.cofaces[fc] -= 1
+                if not self.cofaces[fc]:
+                    self.tops.add(fc)
+            del self.dim_of[s], self.cofaces[s]
+            self.tops.discard(s)
+            self.keys.pop(s, None)
+
+    def delta(self):
+        """The cells as a DeltaSet."""
+        simplices = {}
+        for s, d in self.dim_of.items():
+            simplices.setdefault(d, []).append(s)
+        return DeltaSet(simplices, self.faces, sort_keys=self.keys)
+
+
 class ExpansionCertificate:
     """Ordered moves turning `base` into `result`; replay verifies each
     move and must reproduce `result` bit-identically."""
@@ -51,49 +138,14 @@ class ExpansionCertificate:
 
     def replay(self):
         """Re-apply the moves from base, checking freeness at each step."""
-        simplices = {d: list(v) for d, v in self.base.simplices.items()}
-        faces = dict(self.base.faces)
-        dim_of = dict(self.base.dim_of)
-        keys = dict(self.base._sort_keys)
         key_src = self.result if self.result is not None else self.base
-
-        def current():
-            return DeltaSet({d: list(v) for d, v in simplices.items()},
-                            faces, sort_keys=keys)
-
+        cells = _Cells(self.base, key_src._sort_keys)
         for mv in self.moves:
-            n = len(mv.e_faces) - 1
-            f = mv.e_faces[mv.i]
             if mv.direction == "expand":
-                if mv.e in dim_of or f in dim_of:
-                    raise ValueError(f"move re-adds existing simplex {mv.e!r}")
-                for j, fc in enumerate(mv.e_faces):
-                    if j != mv.i and fc not in dim_of:
-                        raise ValueError(
-                            f"face {fc!r} of {mv.e!r} missing before expansion")
-                for fc in mv.f_faces:
-                    if fc not in dim_of:
-                        raise ValueError(
-                            f"face {fc!r} of {f!r} missing before expansion")
-                simplices.setdefault(n - 1, []).append(f)
-                dim_of[f] = n - 1
-                faces[f] = mv.f_faces
-                simplices.setdefault(n, []).append(mv.e)
-                dim_of[mv.e] = n
-                faces[mv.e] = mv.e_faces
-                for s in (mv.e, f):
-                    if s in key_src._sort_keys:
-                        keys[s] = key_src._sort_keys[s]
+                cells.expand(mv)
             else:
-                _check_free_pair(dim_of, faces, mv.e, mv.i)
-                simplices[n].remove(mv.e)
-                simplices[n - 1].remove(f)
-                for s in (mv.e, f):
-                    del dim_of[s]
-                    del faces[s]
-                    keys.pop(s, None)
-                simplices = {d: v for d, v in simplices.items() if v}
-        return current()
+                cells.collapse(mv.e, mv.i)
+        return cells.delta()
 
     def verify(self):
         return self.replay() == self.result
@@ -102,22 +154,6 @@ class ExpansionCertificate:
         return ExpansionCertificate(
             self.result, [m.inverse() for m in reversed(self.moves)],
             self.base)
-
-
-def _check_free_pair(dim_of, faces, e, i):
-    f = faces[e][i]
-    n = dim_of[e]
-    if dim_of.get(f) != n - 1:
-        raise ValueError("face index does not name a codimension-1 face")
-    if faces[e].count(f) != 1:
-        raise ValueError(f"{f!r} occurs more than once among faces of {e!r}")
-    for s, fs in faces.items():
-        if s == e:
-            continue
-        if f in fs:
-            raise ValueError(f"{f!r} is also a face of {s!r}")
-        if e in fs:
-            raise ValueError(f"{e!r} is a face of {s!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -133,28 +169,11 @@ def is_elementary_expansion(sub):
         return None
     complement.sort(key=lambda s: L.dim_of[s])
     f, e = complement
-    n = L.dim_of[e]
-    if L.dim_of[f] != n - 1 or n < 1:
+    if f not in L.faces[e]:
         return None
-    witness = None
-    for i, fc in enumerate(L.faces[e]):
-        if fc == f:
-            if witness is None:
-                witness = i
-        elif fc not in sub.members:
-            return None
-    if witness is None:
-        return None
-    if L.faces[e].count(f) != 1:
-        return None
-    # f must not be a face of anything else, e of nothing at all
-    for s in L.dim_of:
-        if s == e:
-            continue
-        fs = L.faces[s]
-        if f in fs or e in fs:
-            return None
-    return (e, witness)
+    # every other face of e lies in sub, being neither e nor f
+    i = L.faces[e].index(f)
+    return (e, i) if (e, i) in _Cells(L).free_pairs([e]) else None
 
 
 def expansion_via_horn_pushout(sub):
@@ -229,37 +248,24 @@ def find_collapse_sequence(L, K, budget=100000):
     for s in target:
         if s not in L.dim_of:
             raise ValueError(f"{s!r} is not a simplex of L")
-    # a search node is L minus the collapsed cells; moves never touch the
-    # target, so the search succeeds once only the target is left
-    removed = set()
-    goal = len(L.dim_of) - len(target)
+    # a search node is the table of L minus the collapsed cells; moves
+    # never touch the target, so the search succeeds once only it is left
+    cells = _Cells(L)
+    key = {s: (-L.dim_of[s], L.sort_key(s)) for s in L.faces}
+    pos = {s: k for k, s in enumerate(L.faces)}
 
     def collapse_moves():
-        faces = {s: fs for s, fs in L.faces.items() if s not in removed}
-        face_parents = {}
-        for s, fs in faces.items():
-            for fc in fs:
-                face_parents.setdefault(fc, []).append(s)
-        cands = []
-        for e, fs in faces.items():
-            if e in target or e in face_parents:
-                continue
-            d = L.dim_of[e]
-            if d == 0:
-                continue
-            for i, f in enumerate(fs):
-                if f in target or fs.count(f) != 1:
-                    continue
-                parents = face_parents.get(f, ())
-                if len(parents) == 1 and parents[0] == e:
-                    cands.append((d, e, i))
-        cands.sort(key=lambda t: (-t[0], L.sort_key(t[1]), t[2]))
-        return iter(cands)
+        cands = [(key[e], i, pos[e], e)
+                 for e, i in cells.free_pairs(cells.tops)
+                 if e not in target and L.faces[e][i] not in target]
+        heapify(cands)  # a heap, as most nodes try only their first move
+        while cands:
+            yield heappop(cands)
 
     collapse_seq = []       # the moves into each node on the stack
     stack = []              # per node, the iterator of its untried moves
     nodes = 0
-    while len(removed) != goal:
+    while len(cells.dim_of) != len(target):
         nodes += 1
         if nodes > budget:
             raise BudgetExhausted(f"collapse search exceeded {budget} nodes")
@@ -269,14 +275,13 @@ def find_collapse_sequence(L, K, budget=100000):
             stack.pop()
             if not stack:
                 return None
-            mv = collapse_seq.pop()
-            removed.difference_update((mv.e, mv.e_faces[mv.i]))
+            cells.expand(collapse_seq.pop().inverse())
             step = next(stack[-1], None)
-        d, e, i = step
+        _, i, _, e = step
         f = L.faces[e][i]
         collapse_seq.append(Move("collapse", e, i, L.faces[e],
                                  L.faces[f] if L.dim_of[f] > 0 else ()))
-        removed.update((e, f))
+        cells.collapse(e, i)
     expands = [m.inverse() for m in reversed(collapse_seq)]
     cert = ExpansionCertificate(base, expands, L)
     if not cert.verify():
@@ -422,29 +427,19 @@ def _horn_maps(K, n, i):
             return
         j = slots[pos]
         for y in K.cells(n - 1):
-            ok = True
-            for (k_idx, yk) in zip(slots[:pos], chosen):
-                # compatibility: y_j d_k = y_k d_{j-1} for k < j
-                if k_idx < j:
-                    if K.faces[y][k_idx] != K.faces[yk][j - 1]:
-                        ok = False
-                        break
-                else:
-                    if K.faces[yk][j] != K.faces[y][k_idx - 1]:
-                        ok = False
-                        break
-            if ok:
+            # compatibility: y_j d_k = y_k d_{j-1} for the chosen k < j
+            if all(K.faces[y][k] == K.faces[yk][j - 1]
+                   for k, yk in zip(slots, chosen)):
                 backtrack(pos + 1, chosen + [y])
 
     backtrack(0, [])
     return out
 
 
-def _has_filler(K, i, assignment):
-    for z in K.cells(len(assignment)):
-        if all(K.faces[z][j] == y for j, y in assignment):
-            return z
-    return None
+def _has_filler(cells, assignment):
+    n = len(assignment)
+    return any(cells.dim_of[z] == n and all(fs[j] == y for j, y in assignment)
+               for z, fs in cells.faces.items())
 
 
 def fill_horns(K, max_dim, rounds):
@@ -453,49 +448,30 @@ def fill_horns(K, max_dim, rounds):
     expansions.  Horn maps are enumerated in canonical order and checked
     against the current complex, so horns filled earlier in the same round
     are skipped.  Returns (new complex, certificate)."""
-    simplices = {d: list(v) for d, v in K.simplices.items()}
-    faces = dict(K.faces)
-    keys = dict(K._sort_keys)
+    keys = {}
+    cells = _Cells(K, keys)
     moves = []
     fresh = 0
-
-    def current():
-        return DeltaSet({d: list(v) for d, v in simplices.items()}, faces,
-                        sort_keys=keys)
-
-    cur = K
     for _ in range(rounds):
         for n in range(1, max_dim + 1):
             for i in range(n + 1):
+                cur = cells.delta()
                 for assignment in _horn_maps(cur, n, i):
-                    if _has_filler(cur, i, assignment) is not None:
+                    if _has_filler(cells, assignment):
                         continue
                     e = f"fill{fresh}"
                     fnew = f"fill{fresh}:d{i}"
                     fresh += 1
-                    e_faces = [None] * (n + 1)
-                    for j, y in assignment:
-                        e_faces[j] = y
-                    e_faces[i] = fnew
                     got = dict(assignment)
-                    if n == 1:
-                        f_faces = ()
-                    else:
-                        f_faces = []
-                        for k in range(n):
-                            # e d_i d_k via the semisimplicial identity
-                            if k < i:
-                                f_faces.append(cur.faces[got[k]][i - 1])
-                            else:
-                                f_faces.append(cur.faces[got[k + 1]][i])
-                        f_faces = tuple(f_faces)
-                    simplices.setdefault(n - 1, []).append(fnew)
-                    faces[fnew] = f_faces
+                    got[i] = fnew
+                    e_faces = tuple(got[j] for j in range(n + 1))
+                    # e d_i d_k via the semisimplicial identity
+                    f_faces = tuple(cur.faces[got[k]][i - 1] if k < i
+                                    else cur.faces[got[k + 1]][i]
+                                    for k in range(n)) if n > 1 else ()
                     keys[fnew] = (9, fresh, 0)
-                    simplices.setdefault(n, []).append(e)
-                    faces[e] = tuple(e_faces)
                     keys[e] = (9, fresh, 1)
-                    moves.append(Move("expand", e, i, tuple(e_faces), f_faces))
-                    cur = current()
-    cert = ExpansionCertificate(K, moves, cur)
-    return cur, cert
+                    moves.append(Move("expand", e, i, e_faces, f_faces))
+                    cells.expand(moves[-1])
+    out = cells.delta()
+    return out, ExpansionCertificate(K, moves, out)

@@ -22,7 +22,10 @@ def random_three_term(rng, max_rank=3, bound=3):
     c = rng.randint(1, max_rank)
     d2 = [[rng.randint(-bound, bound) for _ in range(c)] for _ in range(b)]
     d2t = [list(col) for col in zip(*d2)] if d2 else []
-    left_kernel = exact.kernel_basis(d2t)  # vectors v with v * d2 = 0
+    # vectors v with v * d2 = 0: the columns of V^-1 past the rank of d2^T
+    S = exact.smith(d2t)
+    left_kernel = [[S.V_inv[i][j] for i in range(b)]
+                   for j in range(S.rank(), b)]
     d1 = []
     for _ in range(a):
         row = [0] * b

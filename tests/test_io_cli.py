@@ -460,6 +460,39 @@ def test_cli_moore_budget_admits_the_squares(argv, monkeypatch):
         run(argv, stream=_io.StringIO())
 
 
+def _no_products(monkeypatch):
+    def refused(factors):
+        raise AssertionError("a product was built")
+
+    monkeypatch.setattr("dsx.products.n_ary_smash", refused)
+    monkeypatch.setattr("dsx.products.n_ary_product", refused)
+
+
+@pytest.mark.parametrize("command, K", [
+    ("product", dsx.cycle_graph(600)),   # 2,160,000 cells predicted
+    ("smash", dsx.s_bracket(600)),       # 2,157,601 cells predicted
+])
+def test_cli_refuses_products_past_the_cell_budget(tmp_path, monkeypatch,
+                                                   command, K):
+    path = _write(tmp_path, "k.json", K)
+    _no_products(monkeypatch)
+    status, report = run([command, path, path, "-o", str(tmp_path / "o")],
+                         stream=_io.StringIO())
+    assert status == 2
+    assert "budget" in report["error"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_smash_budget_admits_the_moore_square(tmp_path, monkeypatch,
+                                                  moore3):
+    # M /\ M at p = 3 is predicted at 52,560 cells
+    path = _write(tmp_path, "m.json", moore3.M)
+    _no_products(monkeypatch)
+    with pytest.raises(AssertionError, match="a product was built"):
+        run(["smash", path, path, "-o", str(tmp_path / "o")],
+            stream=_io.StringIO())
+
+
 # SHA-256 of the structured reports, without timings, of `dsx dg reduce`
 # and `dsx dg tower` on two fixed three-term complexes, one of them in
 # degrees -1..1; the file names are relative, so the reports do not
@@ -540,6 +573,10 @@ GOLDEN_DIGESTS = {
         "f8d977089373f7d68ad26e0f7af9770d31ee44ad0801dc80d6c770e08375ae34",
     "cyl_cert.json":
         "429363903637d5ff9e89bc608a4811666cbdee668097a22d23c9e060e0e20c88",
+    # the certificate a collapse search finds for the 193-cell cone of
+    # C4 x C4 over its apex: pins the search's move order
+    "cone_cert.json":
+        "c8d57d9a1eafcc38a02119f142fdbd11cd5691db2ba840943e8fcb84589289a4",
 }
 
 
@@ -562,6 +599,16 @@ def test_cli_emitted_files_match_golden_digests(tmp_path):
     status, _ = run(["cylinder", str(tmp_path / "wrap.json"),
                      "-o", str(tmp_path / "cyl.json"),
                      "--certificate", str(tmp_path / "cyl_cert.json")],
+                    stream=out)
+    assert status == 0
+    dio.write_delta(dsx.geometric_product(C4, C4), tmp_path / "c4c4.json")
+    dio.write_delta(dsx.DeltaSet({0: ["apex"]}, {}), tmp_path / "apex.json")
+    status, _ = run(["cone", str(tmp_path / "c4c4.json"),
+                     "-o", str(tmp_path / "cone.json")], stream=out)
+    assert status == 0
+    status, _ = run(["certify", str(tmp_path / "apex.json"),
+                     str(tmp_path / "cone.json"), "--require-pass",
+                     "--certificate", str(tmp_path / "cone_cert.json")],
                     stream=out)
     assert status == 0
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes())

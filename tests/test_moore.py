@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 import dsx
@@ -182,13 +184,13 @@ def test_sigma_action_commutes_with_faces_exhaustively(moore3_p2):
         xs, pts = cell_data(W, s)
         swapped_xs = (xs[1], xs[0])
         swapped_pts = tuple((b, a) for a, b in pts)
-        rep = _orbit_rep(swapped_xs, swapped_pts)
+        rep = _orbit_rep((swapped_xs, swapped_pts))
         assert orbit_cell_name(rep) == om[s]
 
 
 def test_orbit_map_names_each_cell_by_its_least_member(moore3_p2):
     # the orbit of a W cell is named "O" + the name of the least member
-    # of its orbit, i.e. orbit_cell_name(_orbit_rep(cell data))
+    # of its orbit, found here by trying every sigma
     from dsx.moore import _orbit_rep, orbit_cell_name
     from dsx.products import cell_data
     mu = moore3_p2.projection(1, 1)
@@ -197,8 +199,12 @@ def test_orbit_map_names_each_cell_by_its_least_member(moore3_p2):
     for W, mapping in ((mu.source, mu.mapping), (W3, om3.mapping)):
         assert set(mapping) == set(W.dim_of)
         for d, s in W.all_cells():
-            assert mapping[s] == \
-                orbit_cell_name(_orbit_rep(*cell_data(W, s))), s
+            xs, pts = cell_data(W, s)
+            least = min((tuple(xs[t] for t in sigma),
+                         tuple(tuple(p[t] for t in sigma) for p in pts))
+                        for sigma in permutations(range(len(xs))))
+            assert _orbit_rep((xs, pts)) == least, s
+            assert mapping[s] == orbit_cell_name(least), s
 
 
 def test_power_projection_associativity_generic():

@@ -178,6 +178,15 @@ def test_replay_rejects_broken_moves():
         cert.result)
     with pytest.raises(ValueError):
         bad.replay()
+    # a missing cell and out-of-range face indices are refused as such,
+    # not as a KeyError or IndexError
+    CK, incl, cert = dsx.cone(dsx.standard("simplex", 1))
+    for mv in (Move("collapse", "nosuch", 0, ("a", "b"), ()),
+               Move("collapse", "c[0,1]", 7, ("a",), ()),
+               Move("expand", "x", 5, ("0",), ())):
+        bad = dsx.ExpansionCertificate(CK, [mv], CK)
+        with pytest.raises(ValueError):
+            bad.replay()
 
 
 # ---------------------------------------------------------------------------
