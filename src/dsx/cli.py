@@ -26,7 +26,8 @@ from .products import geometric_product, smash, smash_counts
 
 # The largest Delta-set that `dsx moore` builds is the smash power M^(/\ i),
 # i the largest of --power and --coherence (P^i is its orbit set).  A run
-# whose M^(/\ i), or a `dsx product` or `dsx smash` whose output, is
+# whose M^(/\ i), a `dsx product` or `dsx smash` whose output, or a
+# `dsx dg` whose largest complex (t(X), or the top tower level) is
 # predicted to have more cells than this is refused with exit 2 before
 # anything is built.  At some 1.5 KB per cell, the budget is
 # about 1.5 GB; M /\ M has 146,000 cells at p = 5 and 986,960 at p = 13.
@@ -355,9 +356,22 @@ def _cmd_moore(ns, report):
     return ok
 
 
+def _refuse_dg_past_budget(X, k):
+    """Tower level 1 is t(X), with 2|X| cells, and each level has three
+    times the cells of the last: exit 2 if level k would pass MAX_CELLS,
+    stopping at the first level past it."""
+    cells, m = 2 * X.total_rank(), 1
+    while m < k and cells <= MAX_CELLS:
+        cells, m = 3 * cells, m + 1
+    if cells > MAX_CELLS:
+        raise _CliError(f"tower level {m} (t(X) is level 1) would have "
+                        f"{cells} cells, past the budget of {MAX_CELLS}", 2)
+
+
 def _cmd_dg(ns, report):
     if ns.dg_command == "reduce":
         X = dio.read_complex(ns.file)
+        _refuse_dg_past_budget(X, 1)
         red = reduce_mod_n(X, ns.n)
         ok = _check(report, "exterior-invariants", not red.ext.check())
         if ns.uv_trials:
@@ -370,6 +384,7 @@ def _cmd_dg(ns, report):
         return ok
     if ns.dg_command == "tower":
         X = dio.read_complex(ns.file)
+        _refuse_dg_past_budget(X, ns.k)
         tower = order_tower(X, ns.n, ns.k)
         ok = _check(report, "tower-invariants", tower.verify(),
                     levels=len(tower.levels))

@@ -5,7 +5,8 @@ towers.
 Every cone differential is built by homology.mapping_cone_complex, the
 same code that decides the coherence verdicts; the cylinder of f : X -> Y
 is the cone of (1, -f) : X -> X (+) Y, and t(X) and each tower level are
-cones too.  Every structure map is assembled from dense blocks by
+cones too.  Graded maps hold sparse COO dicts, the format of
+ChainComplex.d, and every structure map is placed block by block by
 block_map.
 
 Sign conventions are pinned by the universal-cycle relations rather than by
@@ -28,19 +29,35 @@ from __future__ import annotations
 from random import Random
 
 from . import exact
-from .homology import (ChainComplex, complex_from_matrices, dense_to_coo,
-                       mapping_cone_complex)
+from .homology import ChainComplex, mapping_cone_complex
 
 
 def point_complex(degree=0, rank=1):
     return ChainComplex(degree, degree, {degree: rank}, {})
 
 
+def _eye(n):
+    return {(i, i): 1 for i in range(n)}
+
+
+def _product(A, B):
+    """The COO dict of the matrix product A B of two COO dicts."""
+    rows = {}  # B by row: r -> [(col, value)]
+    for (r, c), v in B.items():
+        rows.setdefault(r, []).append((c, v))
+    out = {}
+    for (i, r), a in A.items():
+        for c, b in rows.get(r, ()):
+            out[i, c] = out.get((i, c), 0) + a * b
+    return out
+
+
 class GradedMap:
     """Graded map of homogeneous degree r between complexes.
 
-    mats[k] is the dense matrix X_k -> Y_{k+r}; degrees where either side
-    vanishes are omitted.
+    mats[k] is the COO dict {(row, col): v} of X_k -> Y_{k+r}, as in
+    ChainComplex.d; zero entries are dropped and degrees without entries
+    omitted, so the zero map has no mats.  mat(k) is a dense view.
     """
 
     __slots__ = ("source", "target", "degree", "mats")
@@ -51,36 +68,35 @@ class GradedMap:
         self.degree = int(degree)
         self.mats = {}
         for k, A in mats.items():
-            m = target.rank(k + self.degree)
-            n = source.rank(k)
-            if m == 0 or n == 0:
-                if A and any(any(row) for row in A):
-                    raise ValueError(f"matrix in empty degree {k}")
-                continue
-            if len(A) != m or any(len(row) != n for row in A):
-                raise ValueError(f"matrix shape mismatch in degree {k}")
-            self.mats[k] = [list(map(int, row)) for row in A]
+            m, n = target.rank(k + self.degree), source.rank(k)
+            if not all(0 <= r < m and 0 <= c < n for r, c in A):
+                raise ValueError(f"entry outside the {m} x {n} matrix of "
+                                 f"degree {k}")
+            coo = {key: v for key, v in A.items() if v}
+            if coo:
+                self.mats[k] = coo
 
     def mat(self, k):
-        m = self.target.rank(k + self.degree)
-        n = self.source.rank(k)
-        return self.mats.get(k, exact.zeros(m, n))
+        A = exact.zeros(self.target.rank(k + self.degree),
+                        self.source.rank(k))
+        for (r, c), v in self.mats.get(k, {}).items():
+            A[r][c] = v
+        return A
 
     def __eq__(self, other):
         if not isinstance(other, GradedMap):
             return NotImplemented
-        if self.degree != other.degree:
-            return False
-        ks = set(self.mats) | set(other.mats)
-        return all(exact.mat_eq(self.mat(k), other.mat(k)) for k in ks)
+        return self.degree == other.degree and self.mats == other.mats
 
     def __add__(self, other):
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
-        ks = set(self.mats) | set(other.mats)
-        return GradedMap(self.source, self.target, self.degree,
-                         {k: exact.mat_add(self.mat(k), other.mat(k))
-                          for k in ks})
+        mats = {k: dict(A) for k, A in self.mats.items()}
+        for k, B in other.mats.items():
+            A = mats.setdefault(k, {})
+            for key, v in B.items():
+                A[key] = A.get(key, 0) + v
+        return GradedMap(self.source, self.target, self.degree, mats)
 
     def __neg__(self):
         return self.scale(-1)
@@ -90,28 +106,23 @@ class GradedMap:
 
     def scale(self, c):
         return GradedMap(self.source, self.target, self.degree,
-                         {k: exact.mat_scale(c, A)
+                         {k: {key: c * v for key, v in A.items()}
                           for k, A in self.mats.items()})
 
     def compose(self, other):
         """self o other (other applied first)."""
         mats = {}
-        for k in range(other.source.lo, other.source.hi + 1):
-            n = other.source.rank(k)
-            mid = other.target.rank(k + other.degree)
-            m = self.target.rank(k + other.degree + self.degree)
-            if n == 0 or m == 0:
-                continue
-            if mid == 0:
-                continue
-            A = exact.mat_mul(self.mat(k + other.degree), other.mat(k))
-            if any(any(row) for row in A):
-                mats[k] = A
+        for k, B in other.mats.items():
+            j = k + other.degree
+            if self.source.rank(j) != other.target.rank(j):
+                raise ValueError(f"compose: middle ranks differ in degree {j}")
+            if j in self.mats:
+                mats[k] = _product(self.mats[j], B)
         return GradedMap(other.source, self.target,
                          self.degree + other.degree, mats)
 
     def is_zero(self):
-        return all(not any(any(row) for row in A) for A in self.mats.values())
+        return not self.mats
 
     def apply(self, k, vec):
         return [sum(a * b for a, b in zip(row, vec)) for row in self.mat(k)]
@@ -122,9 +133,8 @@ def zero_map(source, target, degree=0):
 
 
 def identity_map(X):
-    return GradedMap(X, X, 0, {k: exact.eye(X.rank(k))
-                               for k in range(X.lo, X.hi + 1)
-                               if X.rank(k)})
+    return GradedMap(X, X, 0, {k: _eye(X.rank(k))
+                               for k in range(X.lo, X.hi + 1)})
 
 
 def scalar_map(X, c):
@@ -132,26 +142,20 @@ def scalar_map(X, c):
 
 
 def differential_map(X):
-    return GradedMap(X, X, -1, {k: X.boundary_dense(k)
-                                for k in range(X.lo, X.hi + 1)
-                                if X.rank(k) and X.rank(k - 1)})
+    return GradedMap(X, X, -1, X.d)
 
 
-def block_matrix(m, n, blocks):
-    """The m x n matrix holding each dense block B of `blocks`, a list of
-    (row, col, B), with its top left corner at (row, col); zero elsewhere."""
-    A = exact.zeros(m, n)
-    for r0, c0, B in blocks:
-        for r, row in enumerate(B):
-            A[r0 + r][c0:c0 + len(row)] = row
-    return A
+def _place(blocks):
+    """The COO dict holding each COO block B of `blocks`, a list of
+    (row, col, B), with its top left corner at (row, col)."""
+    return {(r0 + r, c0 + c): v for r0, c0, B in blocks
+            for (r, c), v in B.items()}
 
 
 def block_map(source, target, degree, blocks):
-    """The graded map whose degree-k matrix is block_matrix of blocks(k)."""
+    """The graded map whose degree-k matrix is _place(blocks(k))."""
     return GradedMap(source, target, degree, {
-        k: block_matrix(target.rank(k + degree), source.rank(k), blocks(k))
-        for k in range(source.lo, source.hi + 1)})
+        k: _place(blocks(k)) for k in range(source.lo, source.hi + 1)})
 
 
 def hom_differential(f):
@@ -175,10 +179,9 @@ def shift(X, r):
     additively, including the signs."""
     sign = -1 if r % 2 else 1
     ranks = {k + r: X.rank(k) for k in range(X.lo, X.hi + 1)}
-    mats = {k + r: exact.mat_scale(sign, X.boundary_dense(k))
-            for k in range(X.lo, X.hi + 1)
-            if X.rank(k) and X.rank(k - 1)}
-    return complex_from_matrices(X.lo + r, X.hi + r, ranks, mats, check=False)
+    d = {k + r: {key: sign * v for key, v in A.items()}
+         for k, A in X.d.items()}
+    return ChainComplex(X.lo + r, X.hi + r, ranks, d, check=False)
 
 
 class ConeResult:
@@ -206,13 +209,11 @@ def cone_dg(f):
     if not is_chain_map(f):
         raise ValueError("cone_dg needs a chain map (degree 0, d(f) = 0)")
     X, Y = f.source, f.target
-    C = mapping_cone_complex(
-        X, Y, {k: dense_to_coo(A) for k, A in f.mats.items()})
-    i = block_map(Y, C, 0, lambda k: [(0, 0, exact.eye(Y.rank(k)))])
-    u = block_map(X, C, 1,
-                  lambda k: [(Y.rank(k + 1), 0, exact.eye(X.rank(k)))])
+    C = mapping_cone_complex(X, Y, f.mats)
+    i = block_map(Y, C, 0, lambda k: [(0, 0, _eye(Y.rank(k)))])
+    u = block_map(X, C, 1, lambda k: [(Y.rank(k + 1), 0, _eye(X.rank(k)))])
     p = block_map(C, X, -1,
-                  lambda k: [(0, Y.rank(k), exact.eye(X.rank(k - 1)))])
+                  lambda k: [(0, Y.rank(k), _eye(X.rank(k - 1)))])
     Xs = shift(X, 1)
     pbar = GradedMap(C, Xs, 0, p.mats)
     if not hom_differential(i).is_zero():
@@ -243,11 +244,10 @@ def direct_sum(X, Y):
     """X (+) Y, with X's generators first in every degree."""
     lo, hi = min(X.lo, Y.lo), max(X.hi, Y.hi)
     ranks = {k: X.rank(k) + Y.rank(k) for k in range(lo, hi + 1)}
-    mats = {k: block_matrix(ranks.get(k - 1, 0), ranks[k],
-                            [(0, 0, X.boundary_dense(k)),
-                             (X.rank(k - 1), X.rank(k), Y.boundary_dense(k))])
-            for k in range(lo, hi + 1)}
-    return complex_from_matrices(lo, hi, ranks, mats, check=False)
+    d = {k: _place([(0, 0, X.d.get(k, {})),
+                    (X.rank(k - 1), X.rank(k), Y.d.get(k, {}))])
+         for k in range(lo, hi + 1)}
+    return ChainComplex(lo, hi, ranks, d, check=False)
 
 
 def cylinder_dg(f):
@@ -258,18 +258,18 @@ def cylinder_dg(f):
     if not is_chain_map(f):
         raise ValueError("cylinder_dg needs a chain map")
     X, Y = f.source, f.target
+    minus_f = (-f).mats
     one_minus_f = block_map(X, direct_sum(X, Y), 0, lambda k: [
-        (0, 0, exact.eye(X.rank(k))),
-        (X.rank(k), 0, exact.mat_scale(-1, f.mat(k)))])
+        (0, 0, _eye(X.rank(k))), (X.rank(k), 0, minus_f.get(k, {}))])
     Z = cone_dg(one_minus_f).cone
-    i = block_map(X, Z, 0, lambda k: [(0, 0, exact.eye(X.rank(k)))])
-    j = block_map(Y, Z, 0, lambda k: [(X.rank(k), 0, exact.eye(Y.rank(k)))])
+    i = block_map(X, Z, 0, lambda k: [(0, 0, _eye(X.rank(k)))])
+    j = block_map(Y, Z, 0, lambda k: [(X.rank(k), 0, _eye(Y.rank(k)))])
     # q(a, b, c) = f a + b
-    q = block_map(Z, Y, 0, lambda k: [(0, 0, f.mat(k)),
-                                      (0, X.rank(k), exact.eye(Y.rank(k)))])
+    q = block_map(Z, Y, 0, lambda k: [(0, 0, f.mats.get(k, {})),
+                                      (0, X.rank(k), _eye(Y.rank(k)))])
     # s(a, b, c) = (0, 0, a), degree +1
     s = block_map(Z, Z, 1, lambda k: [
-        (X.rank(k + 1) + Y.rank(k + 1), 0, exact.eye(X.rank(k)))])
+        (X.rank(k + 1) + Y.rank(k + 1), 0, _eye(X.rank(k)))])
     if not (is_chain_map(i) and is_chain_map(j) and is_chain_map(q)):
         raise AssertionError("cylinder: structure maps are not chain maps")
     if q.compose(i) != f:
@@ -347,7 +347,7 @@ def reduce_mod_n(X, n):
     t = res.cone
     eta, g, p = res.i, res.u, res.p
     # r projects onto the unshifted block
-    r = block_map(t, X, 0, lambda k: [(0, 0, exact.eye(X.rank(k)))])
+    r = block_map(t, X, 0, lambda k: [(0, 0, _eye(X.rank(k)))])
     if r.compose(eta) != identity_map(X):
         raise AssertionError("reduction: r o eta != 1")
     if p.compose(g) != identity_map(X):
@@ -394,14 +394,12 @@ def pair_differential(red, phi, psi):
 
 
 def random_graded_map(rng, source, target, degree, bound=4):
-    mats = {}
-    for k in range(source.lo, source.hi + 1):
-        m = target.rank(k + degree)
-        n = source.rank(k)
-        if m and n:
-            mats[k] = [[rng.randint(-bound, bound) for _ in range(n)]
-                       for _ in range(m)]
-    return GradedMap(source, target, degree, mats)
+    """Entries drawn from [-bound, bound], degree by degree, row-major."""
+    return GradedMap(source, target, degree, {
+        k: {(r, c): rng.randint(-bound, bound)
+            for r in range(target.rank(k + degree))
+            for c in range(source.rank(k))}
+        for k in range(source.lo, source.hi + 1)})
 
 
 def uv_identities(X, Y, n, trials=100, seed=0):
@@ -473,10 +471,10 @@ def cone_exterior(h, ext_source, ext_target):
     res = cone_dg(h)
     C = res.cone
     B = h.target
+    minus_eA = (-ext_source.e).mats
     e = block_map(C, C, 1, lambda k: [
-        (0, 0, ext_target.e.mat(k)),
-        (B.rank(k + 1), B.rank(k),
-         exact.mat_scale(-1, ext_source.e.mat(k - 1)))])
+        (0, 0, ext_target.e.mats.get(k, {})),
+        (B.rank(k + 1), B.rank(k), minus_eA.get(k - 1, {}))])
     return ExteriorModule(C, e, ext_target.n), res
 
 

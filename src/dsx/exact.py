@@ -74,14 +74,6 @@ def mat_mul(A, B):
     return out
 
 
-def mat_add(A, B):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_scale(c, A):
-    return [[c * x for x in row] for row in A]
-
-
 def mat_eq(A, B):
     return len(A) == len(B) and all(ra == rb for ra, rb in zip(A, B))
 

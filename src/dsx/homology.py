@@ -150,17 +150,11 @@ class ChainComplex:
         return f"ChainComplex({self.lo}..{self.hi}, ranks={rk})"
 
 
-def dense_to_coo(A):
-    """The COO dict {(row, col): v} of a dense matrix's nonzero entries."""
-    return {(r, c): v for r, row in enumerate(A) for c, v in enumerate(row)
-            if v}
-
-
 def complex_from_matrices(lo, hi, ranks, mats, check=True):
     """Build a ChainComplex from dense boundary matrices d[k] : C_k -> C_{k-1}."""
-    return ChainComplex(lo, hi, ranks,
-                        {k: dense_to_coo(A) for k, A in mats.items()},
-                        check=check)
+    d = {k: {(r, c): v for r, row in enumerate(A) for c, v in enumerate(row)
+             if v} for k, A in mats.items()}
+    return ChainComplex(lo, hi, ranks, d, check=check)
 
 
 def chain_complex(K, reduced=False):

@@ -16,11 +16,11 @@ with integer entries, one rank per degree and lo <= k <= hi.
 Certificate file: ordered move list with simplex names and face indices.
 
 Loaders validate and refuse invalid files (SchemaError): a Delta-set file
-needs its "simplices" object; besides the semisimplicial identity, it may
-give faces only for declared simplices, and its optional "dims" must be the
-top dimension with simplices (-1 when there are none); a morphism must be a
-valid DeltaMorphism; a boundary matrix must have the shape its ranks give
-and d o d = 0.
+needs its "simplices" object, one key per dimension and none negative;
+besides the semisimplicial identity, it may give faces only for declared
+simplices, and its optional "dims" must be the top dimension with simplices
+(-1 when there are none); a morphism must be a valid DeltaMorphism; a
+boundary matrix must have the shape its ranks give and d o d = 0.
 """
 
 from __future__ import annotations
@@ -86,11 +86,15 @@ def delta_from_dict(data):
         raw_faces = data.get("faces", {})
     except ValueError as exc:
         raise SchemaError(f"malformed Delta-set file: {exc}") from None
+    if len(simplices) != len(data["simplices"]):  # "1" and "01", say
+        raise SchemaError("two keys of 'simplices' name one dimension")
     if type(based) is not bool:
         raise SchemaError(f"'based' is {based!r}, not true or false")
     if not isinstance(raw_faces, dict):
         raise SchemaError("malformed Delta-set file: 'faces' is not an object")
     for d, names in simplices.items():
+        if d < 0:
+            raise SchemaError(f"simplices of negative dimension {d}")
         if not isinstance(names, list):
             raise SchemaError(f"simplices of dimension {d} are not a list")
         for s in names:

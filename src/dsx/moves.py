@@ -447,7 +447,9 @@ def fill_horns(K, max_dim, rounds):
     horn map Lambda^i[n] -> K with 1 <= n <= max_dim, as elementary
     expansions.  Horn maps are enumerated in canonical order and checked
     against the current complex, so horns filled earlier in the same round
-    are skipped.  Returns (new complex, certificate)."""
+    are skipped.  New cells are named fill<k> and fill<k>:d<i>, k counting
+    up and skipping names K already holds.  Returns (new complex,
+    certificate)."""
     keys = {}
     cells = _Cells(K, keys)
     moves = []
@@ -459,6 +461,9 @@ def fill_horns(K, max_dim, rounds):
                 for assignment in _horn_maps(cur, n, i):
                     if _has_filler(cells, assignment):
                         continue
+                    while f"fill{fresh}" in cells.dim_of or \
+                            f"fill{fresh}:d{i}" in cells.dim_of:
+                        fresh += 1  # a name K already holds
                     e = f"fill{fresh}"
                     fnew = f"fill{fresh}:d{i}"
                     fresh += 1

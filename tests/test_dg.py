@@ -3,9 +3,8 @@ import random
 import pytest
 
 import dsx
-from dsx import exact
-from dsx.dgred import (GradedMap, complex_from_matrices, point_complex,
-                       random_graded_map)
+from dsx import complex_from_matrices, exact
+from dsx.dgred import GradedMap, point_complex, random_graded_map
 
 
 def two_term(n, lo=0):
@@ -51,11 +50,21 @@ def test_hom_differential_hand_oracle():
     # X = Y = (Z --2--> Z); f in degree 0 given by f_0 = [3], f_1 = [1].
     # By hand: (df)_1 = d o f_1 - f_0 o d = 2*1 - 3*2 = -4 on degree 1.
     X = two_term(2)
-    f = GradedMap(X, X, 0, {0: [[3]], 1: [[1]]})
+    f = GradedMap(X, X, 0, {0: {(0, 0): 3}, 1: {(0, 0): 1}})
     df = dsx.hom_differential(f)
     assert df.degree == -1
     assert df.mat(1) == [[-4]]
     assert not df.is_zero()
+
+
+def test_graded_map_is_sparse_and_refuses_entries_outside_its_shape():
+    X = two_term(2)
+    f = GradedMap(X, X, 0, {0: {(0, 0): 0}, 1: {(0, 0): 5}})
+    assert f.mats == {1: {(0, 0): 5}}
+    assert f.mat(0) == [[0]] and f.mat(1) == [[5]]
+    for bad in ({0: {(1, 0): 1}}, {0: {(0, -1): 1}}, {2: {(0, 0): 1}}):
+        with pytest.raises(ValueError):
+            GradedMap(X, X, 0, bad)
 
 
 def test_hom_differential_squares_to_zero_randomized(rng):
@@ -153,7 +162,7 @@ def test_cone_universal_relations_randomized(rng):
 def test_cone_rejects_non_chain_maps():
     X = two_term(2)
     # degree 0 but non-commuting: f_0 = 1, f_1 = 0 gives d(f)_1 = 2 != 0
-    f = GradedMap(X, X, 0, {0: [[1]], 1: [[0]]})
+    f = GradedMap(X, X, 0, {0: {(0, 0): 1}})
     with pytest.raises(ValueError):
         dsx.cone_dg(f)
 
@@ -323,8 +332,8 @@ def test_extension_of_eta_is_identity_like():
     fbar, redK = dsx.extend_over_mod_n(red.eta, red.ext)
     assert fbar.compose(redK.eta) == red.eta
     assert dsx.is_chain_map(fbar)
-    # t(id)-like: the extension of eta is an isomorphism of complexes
-    assert fbar.mat(0) == [[1, 0], [0, 1]] or fbar.mats
+    # eta o r + g o p = 1, so the extension of eta is the identity of t(X)
+    assert fbar == dsx.identity_map(red.complex)
 
 
 @pytest.mark.parametrize("n,k", [(2, 3), (3, 5), (2, 5)])

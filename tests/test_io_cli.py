@@ -72,6 +72,12 @@ def test_loader_refuses_star_in_unbased(tmp_path):
     {"dims": 0, "simplices": {}, "faces": {}},
     # based is not a boolean
     {"dims": 0, "simplices": {"0": ["a"]}, "based": "false"},
+    # simplices of a negative dimension
+    {"simplices": {"-1": ["m"], "0": ["a", "b"], "1": ["e"]},
+     "faces": {"e": ["b", "a"]}},
+    # two keys for one dimension, which would drop the vertex a
+    {"simplices": {"0": ["a"], "00": ["b"], "1": ["e"]},
+     "faces": {"e": ["b", "b"]}},
 ])
 def test_loader_refuses_malformed(tmp_path, bad):
     path = tmp_path / "bad.json"
@@ -321,6 +327,12 @@ def test_cli_fill_horns(tmp_path):
                           "--out", str(tmp_path / "f.json")], stream=out)
     assert status == 0
     assert report["tables"]["expansions"] == 2
+    # filling its own output again takes names it does not hold yet
+    status, report = run(["fill-horns", str(tmp_path / "f.json"),
+                          "--max-dim", "1", "--rounds", "1",
+                          "--out", str(tmp_path / "g.json")], stream=out)
+    assert status == 0
+    assert report["tables"]["counts"] == [5, 4]
 
 
 def test_cli_bockstein(tmp_path, moore3):
@@ -491,6 +503,53 @@ def test_cli_smash_budget_admits_the_moore_square(tmp_path, monkeypatch,
     with pytest.raises(AssertionError, match="a product was built"):
         run(["smash", path, path, "-o", str(tmp_path / "o")],
             stream=_io.StringIO())
+
+
+def _complex_file(tmp_path, ranks):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps({"degrees": [0, len(ranks) - 1],
+                                "ranks": list(ranks)}))
+    return str(path)
+
+
+def _no_dg(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a dg complex was built")
+
+    monkeypatch.setattr("dsx.cli.order_tower", refused)
+    monkeypatch.setattr("dsx.cli.reduce_mod_n", refused)
+
+
+@pytest.mark.parametrize("ranks, argv", [
+    # t(X) has 2|X| cells, tower level k has 2|X| * 3^(k - 1)
+    ([10 ** 7], ["reduce", "--n", "2"]),
+    ([500_001], ["reduce", "--n", "2", "--uv-trials", "3"]),
+    ([10 ** 7], ["tower", "--n", "2", "--k", "1"]),
+    ([1, 1], ["tower", "--n", "2", "--k", "13"]),       # 2,125,764 cells
+    ([1], ["tower", "--n", "2", "--k", str(10 ** 18)]),
+])
+def test_cli_refuses_dg_past_the_cell_budget(tmp_path, monkeypatch, ranks,
+                                             argv):
+    path = _complex_file(tmp_path, ranks)
+    _no_dg(monkeypatch)
+    status, report = run(["dg", argv[0], path] + argv[1:],
+                         stream=_io.StringIO())
+    assert status == 2
+    assert "budget" in report["error"]
+
+
+@pytest.mark.parametrize("ranks, n, k", [
+    ((4, 5, 3), 2, 3), ((3, 3, 2), 3, 3),    # the benchmark's: 216 and 144
+    ((1, 1), 2, 12),                         # 708,588 cells
+])
+def test_cli_dg_budget_admits_the_benchmark_towers(tmp_path, monkeypatch,
+                                                   ranks, n, k):
+    path = _complex_file(tmp_path, ranks)
+    _no_dg(monkeypatch)
+    for argv in (["reduce", "--n", str(n)],
+                 ["tower", "--n", str(n), "--k", str(k)]):
+        with pytest.raises(AssertionError, match="was built"):
+            run(["dg", argv[0], path] + argv[1:], stream=_io.StringIO())
 
 
 # SHA-256 of the structured reports, without timings, of `dsx dg reduce`

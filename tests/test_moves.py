@@ -268,6 +268,15 @@ def test_fill_horns_point():
     assert homology_tables_equal(pt, out)
 
 
+def test_fill_horns_refills_its_own_output():
+    # the second filling skips the names fill0, fill0:d0, ... of the first
+    once, first = dsx.fill_horns(dsx.standard("simplex", 0), 1, 1)
+    twice, second = dsx.fill_horns(once, 1, 1)
+    assert first.verify() and second.verify()
+    assert len(second) == 2 and twice.n_cells() == once.n_cells() + 4
+    assert homology_tables_equal(once, twice)
+
+
 def test_fill_horns_homology_invariant(corpus):
     for name in ("C3", "bdD2"):
         K = corpus[name]
