@@ -20,16 +20,16 @@ from .dgred import order_tower, reduce_mod_n, uv_identities
 from .homology import bockstein, certify_moore, homology_of, \
     homology_table, is_prime
 from .moore import MooreSystem, moore_counts
-from .moves import BudgetExhausted, cone, find_collapse_sequence, \
-    fill_horns, mapping_cylinder
+from .moves import BudgetExhausted, cone, cone_counts, cylinder_counts, \
+    find_collapse_sequence, fill_horns, mapping_cylinder
 from .products import geometric_product, smash, smash_counts
 
 # The largest Delta-set that `dsx moore` builds is the smash power M^(/\ i),
 # i the largest of --power and --coherence (P^i is its orbit set).  A run
-# whose M^(/\ i), a `dsx product` or `dsx smash` whose output, or a
-# `dsx dg` whose largest complex (t(X), or the top tower level) is
-# predicted to have more cells than this is refused with exit 2 before
-# anything is built.  At some 1.5 KB per cell, the budget is
+# whose M^(/\ i), a `dsx product`, `smash`, `cone` or `cylinder` whose
+# output, or a `dsx dg` whose largest complex (t(X), or the top tower
+# level) is predicted to have more cells than this is refused with exit 2
+# before anything is built.  At some 1.5 KB per cell, the budget is
 # about 1.5 GB; M /\ M has 146,000 cells at p = 5 and 986,960 at p = 13.
 MAX_CELLS = 1_000_000
 
@@ -176,8 +176,8 @@ def _cmd_validate(ns, report):
                   violations=violations[:10])
 
 
-def _refuse_past_budget(A, B, what):
-    cells = sum(smash_counts(A.counts(), B.counts()))
+def _refuse_past_budget(counts, what):
+    cells = sum(counts)
     if cells > MAX_CELLS:
         raise _CliError(f"the {what} would have {cells} cells, past the "
                         f"budget of {MAX_CELLS}", 2)
@@ -187,7 +187,7 @@ def _cmd_product(ns, report):
     A, B = dio.read_delta(ns.a), dio.read_delta(ns.b)
     if A.based or B.based:
         raise _CliError("product expects unbased files (use smash)", 2)
-    _refuse_past_budget(A, B, "product")
+    _refuse_past_budget(smash_counts(A.counts(), B.counts()), "product")
     P = geometric_product(A, B)
     dio.write_delta(P, ns.out)
     report["tables"]["counts"] = list(P.counts())
@@ -202,7 +202,7 @@ def _cmd_smash(ns, report):
     A, B = dio.read_delta(ns.a), dio.read_delta(ns.b)
     if not (A.based and B.based):
         raise _CliError("smash expects based files", 2)
-    _refuse_past_budget(A, B, "smash")
+    _refuse_past_budget(smash_counts(A.counts(), B.counts()), "smash")
     P = smash(A, B)
     dio.write_delta(P, ns.out)
     report["tables"]["counts"] = list(P.counts())
@@ -214,7 +214,11 @@ def _cmd_cone(ns, report):
     K = dio.read_delta(ns.file)
     if K.based:
         raise _CliError("cone expects an unbased file", 2)
-    CK, incl, cert = cone(K)
+    _refuse_past_budget(cone_counts(K.counts()), "cone")
+    try:
+        CK, incl, cert = cone(K)
+    except ValueError as exc:  # K holds a name the cone gives a new cell
+        raise _CliError(str(exc), 2) from None
     dio.write_delta(CK, ns.out)
     report["outputs"] = {"delta": ns.out}
     report["tables"]["counts"] = list(CK.counts())
@@ -229,6 +233,8 @@ def _cmd_cylinder(ns, report):
     f = dio.read_morphism(ns.morphism)
     if f.source.based:
         raise _CliError("cylinder expects an unbased morphism", 2)
+    _refuse_past_budget(cylinder_counts(f.source.counts(),
+                                        f.target.counts()), "cylinder")
     Mf, g, j, i0, i1, cert = mapping_cylinder(f)
     dio.write_delta(Mf, ns.out)
     report["outputs"] = {"delta": ns.out}

@@ -82,7 +82,7 @@ class DeltaSet:
     """
 
     __slots__ = ("simplices", "faces", "dim_of", "top_dim", "based",
-                 "_sort_keys", "_chains")
+                 "_sort_keys", "_chains", "__weakref__")
 
     def __init__(self, simplices, faces, sort_keys=None, based=False):
         """simplices: dict dim -> iterable of names; faces: name -> tuple.

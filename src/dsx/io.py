@@ -45,10 +45,10 @@ def _read_json(path, what):
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except OSError as exc:
-        raise SchemaError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not JSON: {path}: {exc}") from None
+    except (OSError, ValueError) as exc:  # or a NUL in the path, or not UTF-8
+        raise SchemaError(f"cannot read {path}: {exc}") from None
     if not isinstance(data, dict):
         raise SchemaError(f"not a {what} file: {path}")
     return data

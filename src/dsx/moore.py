@@ -324,7 +324,9 @@ def symmetric_power_of(X, i):
     the morphism W -> P sending each cell to its orbit.  Building it checks,
     cell by cell, that the projected faces of every member of an orbit are
     the faces of the orbit: a mismatch would mean the action fails to
-    commute with faces and raises ValueError.
+    commute with faces and raises ValueError.  W and orbit_map are returned
+    for inspection only; PowerSystem keeps P alone, so that W, the largest
+    object on the way, is freed once P is built.
     """
     if i < 1:
         raise ValueError("power index must be >= 1")
@@ -360,7 +362,10 @@ def symmetric_power_of(X, i):
 
 class PowerSystem:
     """Symmetric powers P^i of a based Delta-set with cached canonical
-    projections mu_{i,j} : P^i /\\ P^j -> P^{i+j}."""
+    projections mu_{i,j} : P^i /\\ P^j -> P^{i+j}.
+
+    Only P^i is kept from building a power.  Every mu_{i,j}, mu_{1,1}
+    included, is built on demand from its smash source and cached."""
 
     def __init__(self, X):
         self.X = X
@@ -369,11 +374,7 @@ class PowerSystem:
 
     def power(self, i):
         if i not in self._powers:
-            P, orbit_map, _ = symmetric_power_of(self.X, i)
-            self._powers[i] = P
-            if i == 2:
-                # mu_{1,1} is the orbit map of the smash square onto P^2
-                self._projections[(1, 1)] = orbit_map
+            self._powers[i] = symmetric_power_of(self.X, i)[0]
         return self._powers[i]
 
     def power_rep(self, i, cell):
@@ -393,7 +394,7 @@ class PowerSystem:
         """mu_{i,j}, the canonical projection P^i /\\ P^j -> P^{i+j}."""
         key = (i, j)
         Pi, Pj = self.power(i), self.power(j)
-        target = self.power(i + j)  # builds mu_{1,1} along with P^2
+        target = self.power(i + j)
         if key in self._projections:
             return self._projections[key]
         source = smash(Pi, Pj)
@@ -462,19 +463,33 @@ class MooreSystem:
         return self.powers.projection(i, j)
 
     def coherence_map(self, i):
-        """The composite S2 /\\ P^{i-1} -> M /\\ P^{i-1} -> P^i."""
+        """The composite S2 /\\ P^{i-1} -> M /\\ P^{i-1} -> P^i.
+
+        The cell ((x, y); pts) goes to the orbit of
+        ((iota(x),) + ys; ((u,) + ypts[v] for (u, v) in pts)), where
+        (ys, ypts) = power_rep(i - 1, y).  This is mu_{1,i-1} of
+        (iota /\\ 1)((x, y); pts) = ((iota(x), y); pts) by the formula in
+        `projection`, since the chart of a P^1 cell a is
+        ((0,), ..., (dim a,)) and so contributes (u,) at point u.  Naming
+        each cell directly builds neither mu_{1,i-1} nor M /\\ P^{i-1},
+        which has about i times the cells of P^i.  A cell with
+        iota(x) = * goes to the basepoint, as in `smash_morphism`."""
         if i < 2:
             raise ValueError("coherence needs i >= 2")
-        P = self.power(i - 1)
-        mu = self.projection(1, i - 1)
-        src = smash(self.S2, P)
+        ps = self.powers
+        target = ps.power(i)  # built, and its W freed, before the source
+        src = smash(self.S2, ps.power(i - 1))
         mapping = {}
         for d, s in src.all_cells():
             (x, y), pts = cell_data(src, s)
             mx = self.iota.mapping[x]
-            mid = cell_name((mx, y), pts)
-            mapping[s] = mu.mapping[mid]
-        return DeltaMorphism(src, self.power(i), mapping)
+            if mx is None:
+                mapping[s] = None
+                continue
+            ys, ypts = ps.power_rep(i - 1, y)
+            mapping[s] = ps.orbit_name(
+                i, (mx,) + ys, tuple((u,) + ypts[v] for u, v in pts))
+        return DeltaMorphism(src, target, mapping)
 
     def coherence_composite(self, i):
         """(map, verdict): whether the coherence composite induces an

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop
 
 from .delta import DeltaSet, DeltaMorphism, SubDeltaSet, standard, pushout
-from .products import n_ary_product, cell_name
+from .products import n_ary_product, cell_name, smash_counts
 
 
 class BudgetExhausted(Exception):
@@ -339,6 +339,16 @@ def cone(K):
     return CK, incl, cert
 
 
+def cone_counts(counts):
+    """Cells per dimension of cone(K) from those of K, without building
+    it: the cone point, K, and one cone on each cell of K."""
+    out = [1] + [0] * len(counts)
+    for d, c in enumerate(counts):
+        out[d] += c
+        out[d + 1] += c
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # mapping cylinders
 # ---------------------------------------------------------------------------
@@ -410,6 +420,19 @@ def mapping_cylinder(f):
     base = SubDeltaSet(Mf, [j.mapping[s] for s in L.dim_of]).as_delta_set()
     cert = ExpansionCertificate(base, moves, Mf)
     return Mf, g, j, i0, i1, cert
+
+
+def cylinder_counts(k, l):
+    """Cells per dimension of the mapping cylinder of f : K -> L from those
+    of K and L, without building it: K (x) Delta[1], less the back copy of
+    K that the pushout glues onto L, plus L."""
+    out = list(smash_counts(k, (2, 1)))
+    out += [0] * (len(l) - len(out))
+    for d, c in enumerate(k):
+        out[d] -= c
+    for d, c in enumerate(l):
+        out[d] += c
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

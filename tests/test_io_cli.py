@@ -91,6 +91,13 @@ def test_loader_refuses_malformed(tmp_path, bad):
             dio.read_delta(path)
 
 
+def test_loader_refuses_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(dio.SchemaError):
+        dio.read_delta(path)
+
+
 def test_loader_accepts_written_dims(tmp_path):
     for K in (dsx.EMPTY, dsx.standard("boundary", 2), dsx.circle()):
         path = tmp_path / "k.json"
@@ -503,6 +510,47 @@ def test_cli_smash_budget_admits_the_moore_square(tmp_path, monkeypatch,
     with pytest.raises(AssertionError, match="a product was built"):
         run(["smash", path, path, "-o", str(tmp_path / "o")],
             stream=_io.StringIO())
+
+
+def _cone_and_cylinder_files(tmp_path):
+    """A file holding C4 and the identity morphism of C4: cone(C4) has
+    17 cells, the cylinder of the identity 32."""
+    dio.write_delta(dsx.cycle_graph(4), tmp_path / "c4.json")
+    identity = dsx.identity_morphism(dsx.cycle_graph(4))
+    (tmp_path / "id.json").write_text(json.dumps(
+        dio.morphism_to_dict(identity, "c4.json", "c4.json")))
+    return {"cone": (str(tmp_path / "c4.json"), 17),
+            "cylinder": (str(tmp_path / "id.json"), 32)}
+
+
+@pytest.mark.parametrize("command", ["cone", "cylinder"])
+def test_cli_refuses_cones_and_cylinders_past_the_cell_budget(
+        tmp_path, monkeypatch, command):
+    path, cells = _cone_and_cylinder_files(tmp_path)[command]
+
+    def refused(*args):
+        raise AssertionError("a cone or cylinder was built")
+
+    monkeypatch.setattr("dsx.cli.cone", refused)
+    monkeypatch.setattr("dsx.cli.mapping_cylinder", refused)
+    out = str(tmp_path / "o.json")
+    monkeypatch.setattr("dsx.cli.MAX_CELLS", cells - 1)
+    status, report = run([command, path, "-o", out], stream=_io.StringIO())
+    assert status == 2
+    assert "budget" in report["error"]
+    assert not (tmp_path / "o.json").exists()
+    monkeypatch.setattr("dsx.cli.MAX_CELLS", cells)
+    with pytest.raises(AssertionError, match="was built"):
+        run([command, path, "-o", out], stream=_io.StringIO())
+
+
+def test_cli_cone_refuses_a_file_holding_the_cone_point(tmp_path):
+    CK, _, _ = dsx.cone(dsx.standard("boundary", 2))
+    status, report = run(["cone", _write(tmp_path, "ck.json", CK),
+                          "-o", str(tmp_path / "o.json")],
+                         stream=_io.StringIO())
+    assert status == 2
+    assert "cone point" in report["error"]
 
 
 def _complex_file(tmp_path, ranks):

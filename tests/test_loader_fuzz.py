@@ -2,8 +2,13 @@
 valid object or in SchemaError, never in another exception.
 
 The dicts are drawn near valid files (small Delta-sets with random face
-tables, small complexes with boundaries of the right shapes), and then up
+tables, small complexes with boundaries of the right shapes, valid
+morphisms written next to their source and target files), and then up
 to two of their fields are overwritten with arbitrary JSON values."""
+
+import json
+import os
+import tempfile
 
 import pytest
 
@@ -95,3 +100,56 @@ def test_complex_loader_ends_in_a_valid_complex_or_schema_error(data):
     again = dio.complex_from_dict(dio.complex_to_dict(C))
     assert (again.lo, again.hi, again.ranks, again.d) == \
         (C.lo, C.hi, C.ranks, C.d)
+
+
+def _fold(n, m):
+    """The fold C_n -> C_m, k -> k mod m, for m dividing n."""
+    return dsx.DeltaMorphism(dsx.cycle_graph(n), dsx.cycle_graph(m),
+                             {f"{a}{k}": f"{a}{k % m}"
+                              for a in "vw" for k in range(n)})
+
+
+MORPHISMS = [_fold(4, 2), _fold(3, 1),
+             dsx.identity_morphism(dsx.standard("boundary", 2)),
+             dsx.psi(1, 3), dsx.nabla(3)]
+PATHS = st.sampled_from(["source.json", "target.json", "m.json",
+                         "missing.json", "", ".", "m\0.json"])
+
+
+@st.composite
+def morphism_dicts(draw):
+    """(morphism, its file dict) with up to two of the fields 'map',
+    'source' and 'target', or one image, overwritten: by arbitrary JSON,
+    by a path to one of the files, or by a cell name of either end."""
+    f = draw(st.sampled_from(MORPHISMS))
+    data = dio.morphism_to_dict(f, "source.json", "target.json")
+    names = st.sampled_from(sorted(f.source.dim_of) + sorted(f.target.dim_of)
+                            + ["*"])
+    for key in draw(st.lists(st.sampled_from(["map", "source", "target",
+                                              "image"]), max_size=2)):
+        if key == "image" and isinstance(data["map"], dict) and data["map"]:
+            cell = draw(st.sampled_from(sorted(data["map"])))
+            data["map"][cell] = draw(names | JSON)
+        elif key in ("source", "target"):
+            data[key] = draw(PATHS | JSON)
+        elif key == "map":
+            data[key] = draw(JSON)
+    return f, data
+
+
+@settings(max_examples=300, deadline=None)
+@given(morphism_dicts())
+def test_morphism_loader_ends_in_a_valid_morphism_or_schema_error(case):
+    f, data = case
+    with tempfile.TemporaryDirectory() as tmp:
+        dio.write_delta(f.source, os.path.join(tmp, "source.json"))
+        dio.write_delta(f.target, os.path.join(tmp, "target.json"))
+        path = os.path.join(tmp, "m.json")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        try:
+            g = dio.read_morphism(path)
+        except dio.SchemaError:
+            return
+    assert isinstance(g, dsx.DeltaMorphism)
+    assert g.validate() == []

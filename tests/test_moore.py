@@ -255,6 +255,44 @@ def test_coherence_composite_p3(moore3_p2):
         == {4: "Z/3"}
 
 
+def _through_projection(f, iota, mu):
+    """Whether f sends each S2 /\\ P^1 cell ((x, y); pts) where the old
+    route did: to mu_{1,1}(iota(x) /\\ y), or to * when iota(x) = *."""
+    from dsx.products import cell_data, cell_name
+    for d, s in f.source.all_cells():
+        (x, y), pts = cell_data(f.source, s)
+        mx = iota.mapping[x]
+        want = None if mx is None else mu.mapping[cell_name((mx, y), pts)]
+        if f.mapping[s] != want:
+            return False
+    return True
+
+
+def test_coherence_map_is_the_composite_through_the_projection(moore3_p2):
+    f = moore3_p2.coherence_map(2)
+    assert _through_projection(f, moore3_p2.iota, moore3_p2.projection(1, 1))
+    assert None not in f.mapping.values()
+
+
+def test_coherence_map_sends_cells_over_the_basepoint_to_it():
+    # iota' : S2 -> Y, Y the 2-sphere with one 2-cell a, sends one of S2's
+    # two triangles to a and every other cell to *, as the small Moore
+    # model's iota' does
+    from types import SimpleNamespace
+    from dsx.moore import MooreSystem
+    Y = dsx.DeltaSet({2: ["a"]}, {"a": (None, None, None)}, based=True)
+    S2 = dsx.sphere2()
+    first = S2.cells(2)[0]
+    iota = dsx.DeltaMorphism(S2, Y, {s: "a" if s == first else None
+                                     for s in S2.dim_of})
+    system = SimpleNamespace(S2=S2, iota=iota, powers=PowerSystem(Y))
+    f = MooreSystem.coherence_map(system, 2)
+    assert f.validate() == []
+    assert _through_projection(f, iota, system.powers.projection(1, 1))
+    images = set(f.mapping.values())
+    assert None in images and len(images) > 1
+
+
 def test_coherence_composite_p2_report_only():
     # i = 2 is outside 2 <= i <= p - 1 for p = 2: the verdict is reported,
     # not required (the symmetric square of a mod-2 Moore set is not a
@@ -335,6 +373,56 @@ def test_moore_cli_builds_the_square_complex_once(monkeypatch):
     assert [ranks for ranks in reduced_ranks if ranks is C.ranks] == \
         [C.ranks]
     assert max(map(sum, map(dict.values, reduced_ranks))) == C.total_rank()
+
+
+def test_moore_cli_frees_the_smash_square(monkeypatch):
+    # once P^2 is built, the smash square W and its orbit map are garbage
+    # while the system lives on, and the coherence composite smashes
+    # S2 /\ P^{i-1} only, never M /\ anything
+    import gc
+    import io as _io
+    import weakref
+    from importlib import import_module
+    from dsx.cli import run
+    moore = import_module("dsx.moore")
+    squares = []
+    power = moore.symmetric_power_of
+
+    def recording_power(X, i):
+        out = power(X, i)
+        squares.append(weakref.ref(out[2]))
+        return out
+
+    smashed = []
+    smash = moore.smash
+
+    def recording_smash(A, B):
+        smashed.append((A, B))
+        return smash(A, B)
+
+    systems = []
+    composite = moore.MooreSystem.coherence_composite
+
+    def recording_composite(self, i):
+        systems.append(self)
+        start = len(smashed)
+        out = composite(self, i)
+        [(A, B)] = smashed[start:]
+        assert A is self.S2 and B is self.power(i - 1)
+        return out
+
+    monkeypatch.setattr(moore, "symmetric_power_of", recording_power)
+    monkeypatch.setattr(moore, "smash", recording_smash)
+    monkeypatch.setattr(moore.MooreSystem, "coherence_composite",
+                        recording_composite)
+    status, _ = run(["moore", "--p", "3", "--power", "2",
+                     "--coherence", "2"], stream=_io.StringIO())
+    assert status == 0
+    [system] = systems
+    assert not any(A is system.M for A, B in smashed)
+    gc.collect()
+    [square] = squares
+    assert square() is None
 
 
 def test_free_module_report_rejects_bad_level(moore3):

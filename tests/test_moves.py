@@ -255,6 +255,28 @@ def test_cylinder_pushout_agrees_with_delta_core():
     assert po.delta == Mf
 
 
+def test_cone_and_cylinder_counts_predict_built_counts(corpus):
+    from dsx.moves import cone_counts, cylinder_counts
+    C4 = dsx.cycle_graph(4)
+    fold = dsx.DeltaMorphism(C4, dsx.cycle_graph(2),
+                             {f"{a}{k}": f"{a}{k % 2}"
+                              for a in "vw" for k in range(4)})
+    maps = [fold]
+    for name, K in corpus.items():
+        if name == "cone_bdD2":  # it holds the cone point's name already
+            continue
+        CK, incl, _ = dsx.cone(K)
+        assert cone_counts(K.counts()) == CK.counts(), name
+        maps += [dsx.identity_morphism(K), incl]
+    for f in maps:
+        Mf = dsx.mapping_cylinder(f)[0]
+        assert cylinder_counts(f.source.counts(), f.target.counts()) == \
+            Mf.counts()
+    assert cylinder_counts(C4.counts(), (2, 2)) == (6, 14, 8)
+    assert cone_counts(dsx.geometric_product(C4, C4).counts()) == \
+        (17, 64, 80, 32)
+
+
 # ---------------------------------------------------------------------------
 # horn filling
 # ---------------------------------------------------------------------------
