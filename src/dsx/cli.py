@@ -381,7 +381,7 @@ def _cmd_dg(ns, report):
         red = reduce_mod_n(X, ns.n)
         ok = _check(report, "exterior-invariants", not red.ext.check())
         if ns.uv_trials:
-            res = uv_identities(X, X, ns.n, trials=ns.uv_trials, seed=ns.seed)
+            res = uv_identities(red, X, trials=ns.uv_trials, seed=ns.seed)
             ok = _check(report, "uv-identities", res["pass"],
                         trials=res["trials"]) and ok
         report["tables"]["t_ranks"] = [red.complex.rank(k) for k in

@@ -402,12 +402,12 @@ def random_graded_map(rng, source, target, degree, bound=4):
         for k in range(source.lo, source.hi + 1)})
 
 
-def uv_identities(X, Y, n, trials=100, seed=0):
+def uv_identities(red, Y, trials=100, seed=0):
     """Randomized exact check that u and v are mutually inverse chain maps
-    between Hom(Y, t(X)) and (Z[e] (x) Hom)(Y, X)."""
-    red = reduce_mod_n(X, n)
+    between Hom(Y, t(X)) and (Z[e] (x) Hom)(Y, X), for the mod-n
+    reduction red = reduce_mod_n(X, n)."""
     rng = Random(seed)
-    t = red.complex
+    X, t = red.eta.source, red.complex
     checked = 0
     for _ in range(trials):
         deg = rng.randint(-2, 3)

@@ -4,8 +4,9 @@ All integer arithmetic uses Python's arbitrary-precision ints; entry blow-up
 during Smith reduction is therefore harmless.  The routines here are the
 computational backbone for every homology verdict in the package:
 
-* dense Smith normal form with recorded unimodular transforms and their
-  inverses (self-verifying),
+* dense Smith normal form (`smith`) with recorded unimodular transforms
+  and their inverses (self-verifying); its one pivot loop also enforces
+  the divisibility chain d1 | d2 | ..., with no pass after it,
 * one sparse unit-elimination loop (`_cancel_units`) over Z, F_p or Z/p^2.
   Over Z it cancels +-1 entries; over Z/q it cancels every entry prime to
   q, which over F_p is every nonzero entry.  Its pivots come first from a
@@ -20,8 +21,7 @@ computational backbone for every homology verdict in the package:
   `morse_carry` replays to carry a chain map into the residue,
   `sparse_rank_and_factors` hands the unit-free residue of one matrix to
   dense Smith for its invariant factors, and `sparse_rank_mod_p` gives
-  the rank over F_p,
-* dense mod-p ranks (`fp_rref`, `fp_rank`), the only dense mod-p code.
+  the rank over F_p, the only mod-p rank in the package.
 """
 
 from __future__ import annotations
@@ -29,19 +29,6 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from math import gcd
-
-
-def xgcd(a, b):
-    """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q = a // b
-        a, b = b, a - q * b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +164,10 @@ def smith(A, with_transforms=True):
     """Smith normal form of an integer matrix (list of rows).
 
     Returns a SmithDecomposition; `verify` against the input will pass.
+    Each pivot is the least-magnitude entry of the trailing block, divided
+    into its row and column until both are clear and it divides the whole
+    trailing block; so the diagonal comes out as the chain d1 | d2 | ....
+    There is no repair pass after the loop.
     With `with_transforms=False` the U/V matrices are skipped (cheaper);
     the diagonal is still the true invariant-factor chain.
     """
@@ -235,42 +226,6 @@ def smith(A, with_transforms=True):
                 if r[i]:
                     r[k] += q * r[i]
 
-    def row_gcd_op(i, k, x, y, u, w):
-        # rows (i,k) <- (x*Ri + y*Rk, u*Ri + w*Rk), det = x*w - y*u = 1
-        Di, Dk = D[i], D[k]
-        for j in range(n):
-            a, b = Di[j], Dk[j]
-            Di[j] = x * a + y * b
-            Dk[j] = u * a + w * b
-        if wt:
-            # U <- U * L^{-1}, L^{-1} = [[w, -y], [-u, x]]
-            for r in U:
-                a, b = r[i], r[k]
-                r[i] = w * a - u * b
-                r[k] = -y * a + x * b
-            Uii, Uik = Ui[i], Ui[k]
-            for j in range(m):
-                a, b = Uii[j], Uik[j]
-                Uii[j] = x * a + y * b
-                Uik[j] = u * a + w * b
-
-    def col_gcd_op(j, k, x, y, u, w):
-        # cols (j,k) <- (x*Cj + y*Ck, u*Cj + w*Ck)
-        for r in D:
-            a, b = r[j], r[k]
-            r[j] = x * a + y * b
-            r[k] = u * a + w * b
-        if wt:
-            Vj, Vk = V[j], V[k]
-            for c in range(n):
-                a, b = Vj[c], Vk[c]
-                Vj[c] = w * a - u * b
-                Vk[c] = -y * a + x * b
-            for r in Vi:
-                a, b = r[j], r[k]
-                r[j] = x * a + y * b
-                r[k] = u * a + w * b
-
     def negate_row(i):
         D[i] = [-x for x in D[i]]
         if wt:
@@ -278,7 +233,6 @@ def smith(A, with_transforms=True):
                 r[i] = -r[i]
             Ui[i] = [-x for x in Ui[i]]
 
-    rank = 0
     for t in range(min(m, n)):
         piv = _pivot_search(D, t, m, n)
         if piv is None:
@@ -290,6 +244,11 @@ def smith(A, with_transforms=True):
             col_swap(t, pj)
         # Euclidean descent: divide with remainder against the pivot; any
         # leftover remainder is strictly smaller, so re-pivoting terminates.
+        # A clean descent must also leave D[t][t] dividing the trailing
+        # block, which gives the chain d1 | d2 | ... (Cohen, Alg. 2.4.14):
+        # else the row of an entry it does not divide is added to row t,
+        # and the next descent leaves a smaller remainder there.  A unit
+        # divides every entry, so most pivots skip that scan.
         while True:
             p = D[t][t]
             dirty = False
@@ -310,7 +269,13 @@ def smith(A, with_transforms=True):
                     if D[t][j]:
                         dirty = True
             if not dirty:
-                break
+                bad = None if abs(p) == 1 else next(
+                    (i for i in range(t + 1, m)
+                     if any(x % p for x in D[i][t + 1:])), None)
+                if bad is None:
+                    break
+                row_axpy(t, bad, 1)
+                continue
             piv = _pivot_search(D, t, m, n)
             pi, pj = piv
             if pi != t:
@@ -319,27 +284,6 @@ def smith(A, with_transforms=True):
                 col_swap(t, pj)
         if D[t][t] < 0:
             negate_row(t)
-        rank = t + 1
-
-    # enforce the divisibility chain d1 | d2 | ...
-    changed = True
-    while changed:
-        changed = False
-        for t in range(rank - 1):
-            a, b = D[t][t], D[t + 1][t + 1]
-            if b % a != 0:
-                changed = True
-                col_axpy(t, t + 1, 1)  # puts b into position (t+1, t)
-                g, x, y = xgcd(a, b)
-                row_gcd_op(t, t + 1, x, y, -(b // g), a // g)
-                # row op may leave entry at (t, t+1); clear both off-diagonals
-                q = D[t][t + 1] // D[t][t]
-                col_axpy(t + 1, t, -q)
-                q = D[t + 1][t] // D[t][t] if D[t + 1][t] else 0
-                if q:
-                    row_axpy(t + 1, t, -q)
-                if D[t + 1][t + 1] < 0:
-                    negate_row(t + 1)
 
     return SmithDecomposition(U, D, V, Ui, Vi, (m, n))
 
@@ -660,42 +604,3 @@ def morse_carry(ranks, pivots, maps):
     return {m: {(index[m][r], c): v for c, col in G.cols.items()
                 for r, v in col.items()}
             for m, G in mats.items()}
-
-
-# ---------------------------------------------------------------------------
-# dense mod-p ranks (small matrices)
-# ---------------------------------------------------------------------------
-
-def fp_rref(A, p):
-    """Row-reduce A mod p in place; return pivot column list."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    for i in range(m):
-        A[i] = [x % p for x in A[i]]
-    pivots = []
-    row = 0
-    for col in range(n):
-        piv = None
-        for i in range(row, m):
-            if A[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        A[row], A[piv] = A[piv], A[row]
-        inv = pow(A[row][col], -1, p)
-        A[row] = [(x * inv) % p for x in A[row]]
-        for i in range(m):
-            if i != row and A[i][col]:
-                q = A[i][col]
-                A[i] = [(x - q * y) % p for x, y in zip(A[i], A[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    return pivots
-
-
-def fp_rank(A, p):
-    B = [row[:] for row in A]
-    return len(fp_rref(B, p))

@@ -390,12 +390,6 @@ class HomologyBasis:
     def coords(self, w):
         return self._coord_fn(w)
 
-    def group(self):
-        free = sum(1 for o in self.orders if o == 0)
-        tors = tuple(sorted((o for o in self.orders if o > 1),
-                            key=lambda x: (x,)))
-        return HomologyGroup(self.degree, free, tors)
-
 
 def _mat_vec(A, v):
     return [sum(a * b for a, b in zip(row, v)) for row in A]
@@ -550,7 +544,8 @@ def bockstein(K, p, k):
     Bockstein is unchanged.  Every residue entry is divisible by p (checked;
     a ValueError otherwise): the residue cells form a basis of mod-p
     homology, every cell is a mod-p cycle that lifts to itself, and the
-    matrix is (residue d_k) / p mod p.
+    matrix is (residue d_k) / p mod p, and its rank over F_p is taken by
+    `exact.sparse_rank_mod_p` from the COO dict of (residue d_k) / p.
     Only `rank` and the dimensions are independent of that basis.
     """
     if not is_prime(p):
@@ -561,12 +556,14 @@ def bockstein(K, p, k):
         raise ValueError(f"a residue entry over Z/{p * p} is not divisible "
                          f"by {p}")
     source_dim, target_dim = ranks.get(k, 0), ranks.get(k - 1, 0)
+    coo = {rc: v // p for rc, v in bnd.get(k, {}).items()}
     matrix = exact.zeros(target_dim, source_dim)
-    for (r, c), v in bnd.get(k, {}).items():
-        matrix[r][c] = v // p
+    for (r, c), v in coo.items():
+        matrix[r][c] = v
+    rank = exact.sparse_rank_mod_p(
+        exact.SparseMat.from_entries(target_dim, source_dim, coo), p)
     return {"matrix": matrix, "source_dim": source_dim,
-            "target_dim": target_dim, "rank": exact.fp_rank(matrix, p),
-            "p": p, "degree": k}
+            "target_dim": target_dim, "rank": rank, "p": p, "degree": k}
 
 
 def fp_matrix_is_iso(entry):

@@ -390,6 +390,19 @@ class PowerSystem:
             return xs[0]
         return orbit_cell_name(_orbit_rep((xs, pts)))
 
+    def flat_orbit_name(self, parts, chart):
+        """The orbit in P^(i_1 + ... + i_r) of a cell whose factors are
+        the P^(i_t) cells of parts = ((i_1, a_1), ..., (i_r, a_r)) over
+        `chart`, whose point u sits at point u[t] of a_t: the factor tuples
+        of the a_t's representatives are joined, and so are, point by
+        point, their chart points."""
+        reps = [self.power_rep(i, a) for i, a in parts]
+        xs = tuple(x for rep_xs, _ in reps for x in rep_xs)
+        pts = tuple(tuple(c for (_, rep_pts), v in zip(reps, u)
+                          for c in rep_pts[v])
+                    for u in chart)
+        return self.orbit_name(sum(i for i, _ in parts), xs, pts)
+
     def projection(self, i, j):
         """mu_{i,j}, the canonical projection P^i /\\ P^j -> P^{i+j}."""
         key = (i, j)
@@ -401,11 +414,7 @@ class PowerSystem:
         mapping = {}
         for d, s in source.all_cells():
             (a, b), psi = cell_data(source, s)
-            ra_xs, ra_pts = self.power_rep(i, a)
-            rb_xs, rb_pts = self.power_rep(j, b)
-            xs = ra_xs + rb_xs
-            pts = tuple(ra_pts[u] + rb_pts[v] for (u, v) in psi)
-            mapping[s] = self.orbit_name(i + j, xs, pts)
+            mapping[s] = self.flat_orbit_name(((i, a), (j, b)), psi)
         mu = DeltaMorphism(source, target, mapping)
         self._projections[key] = mu
         return mu
@@ -428,13 +437,8 @@ class PowerSystem:
             t1 = left1.mapping[s]
             v1 = None if t1 is None else mu_ij_k.mapping[t1]
             (a, b), phi = cell_data(mu_ij.source, ab)
-            ra = self.power_rep(i, a)
-            rb = self.power_rep(j, b)
-            rc = self.power_rep(k, c)
-            xs = ra[0] + rb[0] + rc[0]
-            pts = tuple(ra[1][phi[u][0]] + rb[1][phi[u][1]] + rc[1][v]
-                        for (u, v) in psi)
-            v2 = self.orbit_name(i + j + k, xs, pts)
+            v2 = self.flat_orbit_name(((i, a), (j, b), (k, c)),
+                                      [phi[u] + (v,) for u, v in psi])
             if v1 != v2:
                 return False
         return True
@@ -465,15 +469,13 @@ class MooreSystem:
     def coherence_map(self, i):
         """The composite S2 /\\ P^{i-1} -> M /\\ P^{i-1} -> P^i.
 
-        The cell ((x, y); pts) goes to the orbit of
-        ((iota(x),) + ys; ((u,) + ypts[v] for (u, v) in pts)), where
-        (ys, ypts) = power_rep(i - 1, y).  This is mu_{1,i-1} of
-        (iota /\\ 1)((x, y); pts) = ((iota(x), y); pts) by the formula in
-        `projection`, since the chart of a P^1 cell a is
-        ((0,), ..., (dim a,)) and so contributes (u,) at point u.  Naming
-        each cell directly builds neither mu_{1,i-1} nor M /\\ P^{i-1},
-        which has about i times the cells of P^i.  A cell with
-        iota(x) = * goes to the basepoint, as in `smash_morphism`."""
+        The cell ((x, y); pts) goes to the flat orbit of the P^1 cell
+        iota(x) and the P^(i-1) cell y over pts, which is mu_{1,i-1} of
+        (iota /\\ 1)((x, y); pts) = ((iota(x), y); pts), as in
+        `projection`.  Naming each cell directly builds neither mu_{1,i-1}
+        nor M /\\ P^{i-1}, which has about i times the cells of P^i.  A
+        cell with iota(x) = * goes to the basepoint, as in
+        `smash_morphism`."""
         if i < 2:
             raise ValueError("coherence needs i >= 2")
         ps = self.powers
@@ -486,9 +488,7 @@ class MooreSystem:
             if mx is None:
                 mapping[s] = None
                 continue
-            ys, ypts = ps.power_rep(i - 1, y)
-            mapping[s] = ps.orbit_name(
-                i, (mx,) + ys, tuple((u,) + ypts[v] for u, v in pts))
+            mapping[s] = ps.flat_orbit_name(((1, mx), (i - 1, y)), pts)
         return DeltaMorphism(src, target, mapping)
 
     def coherence_composite(self, i):

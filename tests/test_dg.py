@@ -301,12 +301,14 @@ def test_uv_hand_case():
 
 def test_uv_identities_randomized():
     X = point_complex(0, 1)
-    assert dsx.uv_identities(X, X, 2, trials=25, seed=5)["pass"]
+    assert dsx.uv_identities(dsx.reduce_mod_n(X, 2), X, trials=25,
+                             seed=5)["pass"]
     rng = random.Random(17)
     for n in (2, 3, 4):
         Xr = random_three_term(rng)
         Yr = random_three_term(rng)
-        res = dsx.uv_identities(Xr, Yr, n, trials=40, seed=n)
+        res = dsx.uv_identities(dsx.reduce_mod_n(Xr, n), Yr, trials=40,
+                                seed=n)
         assert res["pass"], res
 
 

@@ -61,7 +61,9 @@ def sympy_factors(A):
 @given(matrices())
 def test_smith_and_sparse_factors_match_sympy(A):
     want = sympy_factors(A)
-    assert exact.smith(A).invariant_factors() == want
+    S = exact.smith(A)
+    assert S.verify(A)
+    assert S.invariant_factors() == want
     assert exact.smith(A, with_transforms=False).invariant_factors() == want
     rank, factors = exact.sparse_rank_and_factors(sparse_of(A))
     assert (rank, factors) == (len(want), want)
@@ -90,7 +92,7 @@ def test_morse_reduce_mod_p_squared_matches_sympy(A):
         for (r, c), v in bnd[1].items():
             B[r][c] = v // p
         want = sum(1 for d in sympy_factors(A) if d % p == 0 and d % (p * p))
-        assert exact.fp_rank(B, p) == want, p
+        assert DomainMatrix.from_list(B, GF(p)).rank() == want, p
 
 
 @settings(max_examples=60, deadline=None)

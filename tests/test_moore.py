@@ -138,6 +138,12 @@ def test_iota_epi_on_h2(moore3):
     u = entry["matrix"][0][0]
     assert u % 3 != 0
     assert (3 * u) % 3 == 0
+    # the matrices in the generators that dense Smith picks, pinned
+    for n, want in ((2, [[1]]), (3, [[2]]), (4, [[1]]), (6, [[1]])):
+        _, iota, _ = dsx.moore_space(n)
+        entry = dsx.induced_map(iota)[2]
+        assert entry["target_orders"] == [n]
+        assert entry["matrix"] == want, n
 
 
 def test_psi_maps_agree_on_smash_homology():
