@@ -17,7 +17,7 @@ from .products import (geometric_product, n_ary_product, unit_iso,
 from .moves import (Move, ExpansionCertificate, BudgetExhausted,
                     is_elementary_expansion, expansion_via_horn_pushout,
                     find_collapse_sequence, cone, mapping_cylinder,
-                    fill_horns, cylinder_inclusions)
+                    cylinder_inclusions)
 from .exact import smith
 from .homology import (ChainComplex, HomologyGroup, chain_complex, homology,
                        homology_of, homology_table, is_acyclic,

@@ -21,7 +21,7 @@ from .homology import bockstein, certify_moore, homology_of, \
     homology_table, is_prime
 from .moore import MooreSystem, moore_counts
 from .moves import BudgetExhausted, cone, cone_counts, cylinder_counts, \
-    find_collapse_sequence, fill_horns, mapping_cylinder
+    find_collapse_sequence, mapping_cylinder
 from .products import geometric_product, smash, smash_counts
 
 # The largest Delta-set that `dsx moore` builds is the smash power M^(/\ i),
@@ -29,8 +29,10 @@ from .products import geometric_product, smash, smash_counts
 # whose M^(/\ i), a `dsx product`, `smash`, `cone` or `cylinder` whose
 # output, or a `dsx dg` whose largest complex (t(X), or the top tower
 # level) is predicted to have more cells than this is refused with exit 2
-# before anything is built.  At some 1.5 KB per cell, the budget is
-# about 1.5 GB; M /\ M has 146,000 cells at p = 5 and 986,960 at p = 13.
+# before anything is built; so is a `dsx dg reduce --uv-trials` whose
+# dense random map X -> t(X) would have more entries, 2|X|^2.  At some
+# 1.5 KB per cell, the budget is about 1.5 GB; M /\ M has 146,000 cells
+# at p = 5 and 986,960 at p = 13.
 MAX_CELLS = 1_000_000
 
 
@@ -103,12 +105,6 @@ def build_parser():
     p.add_argument("--require-pass", action="store_true",
                    help="exit 1 unless a certificate is found")
     p.add_argument("--certificate", metavar="PATH")
-
-    p = sub.add_parser("fill-horns", help="bounded horn filling")
-    p.add_argument("file")
-    p.add_argument("--max-dim", type=_at_least(1), required=True)
-    p.add_argument("--rounds", type=_at_least(1), required=True)
-    p.add_argument("--out", "-o", required=True)
 
     p = sub.add_parser("homology", help="homology table of a file")
     p.add_argument("file")
@@ -291,18 +287,6 @@ def _cmd_certify(ns, report):
     return True
 
 
-def _cmd_fill_horns(ns, report):
-    K = dio.read_delta(ns.file)
-    if K.based:
-        raise _CliError("fill-horns expects an unbased file", 2)
-    out, cert = fill_horns(K, ns.max_dim, ns.rounds)
-    dio.write_delta(out, ns.out)
-    report["outputs"] = {"delta": ns.out}
-    report["tables"]["counts"] = list(out.counts())
-    report["tables"]["expansions"] = len(cert)
-    return _check(report, "fill-horns-certificate", cert.verify())
-
-
 def _cmd_homology(ns, report):
     K = dio.read_delta(ns.file)
     coeff, p = _homology_args(ns)
@@ -378,6 +362,9 @@ def _cmd_dg(ns, report):
     if ns.dg_command == "reduce":
         X = dio.read_complex(ns.file)
         _refuse_dg_past_budget(X, 1)
+        if ns.uv_trials:  # a trial's dense map X -> t(X): 2|X|^2 entries
+            _refuse_past_budget([2 * X.total_rank() ** 2],
+                                "dense map X -> t(X) of a uv trial")
         red = reduce_mod_n(X, ns.n)
         ok = _check(report, "exterior-invariants", not red.ext.check())
         if ns.uv_trials:
@@ -409,7 +396,6 @@ _COMMANDS = {
     "cone": _cmd_cone,
     "cylinder": _cmd_cylinder,
     "certify": _cmd_certify,
-    "fill-horns": _cmd_fill_horns,
     "homology": _cmd_homology,
     "bockstein": _cmd_bockstein,
     "moore": _cmd_moore,

@@ -13,7 +13,9 @@ Chain-complex file:
     { "degrees": [lo, hi], "ranks": [rank_lo, ..., rank_hi],
       "boundaries": { "k": row-major matrix of d_k : C_k -> C_{k-1} } }
 with integer entries, one rank per degree and lo <= k <= hi.
-Certificate file: ordered move list with simplex names and face indices.
+Certificate file: "base", "result" and a list "moves" of moves
+    { "direction": "expand" | "collapse", "e": name, "i": integer,
+      "e_faces": [names...], "f_faces": [names...] }
 
 Loaders validate and refuse invalid files (SchemaError): a Delta-set file
 needs its "simplices" object, one key per dimension and none negative;
@@ -232,16 +234,30 @@ def certificate_to_dict(cert):
     }
 
 
+def _is_move(m):
+    def names(v):
+        return isinstance(v, list) and all(isinstance(f, str) for f in v)
+    return (isinstance(m, dict)
+            and m.get("direction") in ("expand", "collapse")
+            and isinstance(m.get("e"), str) and _is_int(m.get("i"))
+            and names(m.get("e_faces")) and names(m.get("f_faces")))
+
+
 def certificate_from_dict(data):
     try:
         base = delta_from_dict(data["base"])
         result = delta_from_dict(data["result"])
-        moves = [Move(m["direction"], m["e"], int(m["i"]),
-                      tuple(m["e_faces"]), tuple(m["f_faces"]))
-                 for m in data["moves"]]
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"malformed certificate: {exc}") from None
-    return ExpansionCertificate(base, moves, result)
+    moves = data.get("moves")
+    if not isinstance(moves, list):
+        raise SchemaError("malformed certificate: 'moves' is not a list")
+    for m in moves:
+        if not _is_move(m):
+            raise SchemaError(f"malformed move {m!r}")
+    return ExpansionCertificate(base, [
+        Move(m["direction"], m["e"], m["i"], tuple(m["e_faces"]),
+             tuple(m["f_faces"])) for m in moves], result)
 
 
 def write_certificate(cert, path):

@@ -1,5 +1,5 @@
-"""Elementary expansions and collapses, cones, mapping cylinders, horn
-filling, and replayable weak-equivalence certificates.
+"""Elementary expansions and collapses, cones, mapping cylinders, and
+replayable weak-equivalence certificates.
 
 An elementary expansion of dimension n adjoins a free pair {e, e d_i}: the
 larger set is the disjoint union of the smaller with these two simplices,
@@ -13,8 +13,8 @@ sort key, and its coface count, the number of face entries that name it.
 The counts change with each expansion and collapse, so the free-pair test
 reads them in place of scanning the cells: {e, e d_i} is free when e has
 coface count 0 and e d_i has count 1.  Certificate replay, the collapse
-search (whose node is the table), expansion recognition and horn filling
-all apply their moves to this table.
+search (whose node is the table) and expansion recognition all apply
+their moves to this table.
 """
 
 from __future__ import annotations
@@ -433,73 +433,3 @@ def cylinder_counts(k, l):
     for d, c in enumerate(l):
         out[d] += c
     return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# horn filling
-# ---------------------------------------------------------------------------
-
-def _horn_maps(K, n, i):
-    """All morphisms Lambda^i[n] -> K, as tuples (y_j for j != i)."""
-    out = []
-    slots = [j for j in range(n + 1) if j != i]
-
-    def backtrack(pos, chosen):
-        if pos == len(slots):
-            out.append(tuple(zip(slots, chosen)))
-            return
-        j = slots[pos]
-        for y in K.cells(n - 1):
-            # compatibility: y_j d_k = y_k d_{j-1} for the chosen k < j
-            if all(K.faces[y][k] == K.faces[yk][j - 1]
-                   for k, yk in zip(slots, chosen)):
-                backtrack(pos + 1, chosen + [y])
-
-    backtrack(0, [])
-    return out
-
-
-def _has_filler(cells, assignment):
-    n = len(assignment)
-    return any(cells.dim_of[z] == n and all(fs[j] == y for j, y in assignment)
-               for z, fs in cells.faces.items())
-
-
-def fill_horns(K, max_dim, rounds):
-    """Bounded horn filling: each round attaches one simplex per unfilled
-    horn map Lambda^i[n] -> K with 1 <= n <= max_dim, as elementary
-    expansions.  Horn maps are enumerated in canonical order and checked
-    against the current complex, so horns filled earlier in the same round
-    are skipped.  New cells are named fill<k> and fill<k>:d<i>, k counting
-    up and skipping names K already holds.  Returns (new complex,
-    certificate)."""
-    keys = {}
-    cells = _Cells(K, keys)
-    moves = []
-    fresh = 0
-    for _ in range(rounds):
-        for n in range(1, max_dim + 1):
-            for i in range(n + 1):
-                cur = cells.delta()
-                for assignment in _horn_maps(cur, n, i):
-                    if _has_filler(cells, assignment):
-                        continue
-                    while f"fill{fresh}" in cells.dim_of or \
-                            f"fill{fresh}:d{i}" in cells.dim_of:
-                        fresh += 1  # a name K already holds
-                    e = f"fill{fresh}"
-                    fnew = f"fill{fresh}:d{i}"
-                    fresh += 1
-                    got = dict(assignment)
-                    got[i] = fnew
-                    e_faces = tuple(got[j] for j in range(n + 1))
-                    # e d_i d_k via the semisimplicial identity
-                    f_faces = tuple(cur.faces[got[k]][i - 1] if k < i
-                                    else cur.faces[got[k + 1]][i]
-                                    for k in range(n)) if n > 1 else ()
-                    keys[fnew] = (9, fresh, 0)
-                    keys[e] = (9, fresh, 1)
-                    moves.append(Move("expand", e, i, e_faces, f_faces))
-                    cells.expand(moves[-1])
-    out = cells.delta()
-    return out, ExpansionCertificate(K, moves, out)

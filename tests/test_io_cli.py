@@ -166,6 +166,10 @@ def test_cli_validate_and_exit_codes(tmp_path):
     assert status == 2
     status, _ = run(["no-such-command"], stream=out)
     assert status == 2
+    # no command builds what the cell budget cannot bound in advance
+    status, _ = run(["fill-horns", path, "--max-dim", "1", "--rounds", "1",
+                     "--out", str(tmp_path / "f.json")], stream=out)
+    assert status == 2
 
 
 def test_cli_homology_empty_delta(tmp_path):
@@ -326,22 +330,6 @@ def test_cli_cylinder_refuses_malformed_morphism(tmp_path, data):
     assert "error" in report
 
 
-def test_cli_fill_horns(tmp_path):
-    path = _write(tmp_path, "pt.json", dsx.standard("simplex", 0))
-    out = _io.StringIO()
-    status, report = run(["fill-horns", path, "--max-dim", "1",
-                          "--rounds", "1",
-                          "--out", str(tmp_path / "f.json")], stream=out)
-    assert status == 0
-    assert report["tables"]["expansions"] == 2
-    # filling its own output again takes names it does not hold yet
-    status, report = run(["fill-horns", str(tmp_path / "f.json"),
-                          "--max-dim", "1", "--rounds", "1",
-                          "--out", str(tmp_path / "g.json")], stream=out)
-    assert status == 0
-    assert report["tables"]["counts"] == [5, 4]
-
-
 def test_cli_bockstein(tmp_path, moore3):
     path = _write(tmp_path, "m3.json", moore3.M)
     out = _io.StringIO()
@@ -403,10 +391,8 @@ def test_cli_dg_refuses_malformed_complex(tmp_path, change):
     assert "error" in report
 
 
-@pytest.mark.parametrize("argv", [
-    ["homology"], ["validate"], ["fill-horns", "--max-dim", "2",
-                                 "--rounds", "1", "-o", "out.json"]],
-    ids=["homology", "validate", "fill-horns"])
+@pytest.mark.parametrize("argv", [["homology"], ["validate"]],
+                         ids=["homology", "validate"])
 @pytest.mark.parametrize("data", [{}, GOOD_COMPLEX], ids=["empty", "complex"])
 def test_cli_refuses_files_without_simplices(tmp_path, monkeypatch, argv,
                                              data):
@@ -428,8 +414,8 @@ def test_cli_refuses_files_without_simplices(tmp_path, monkeypatch, argv,
     ["dg", "reduce", "X", "--n", "0"],
     ["dg", "tower", "X", "--n", "2", "--k", "0"],
     ["bockstein", "K", "--p", "3", "--degree", "-1"],
-    ["fill-horns", "K", "--max-dim", "-1", "--rounds", "1", "-o", "o.json"],
-    ["fill-horns", "K", "--max-dim", "1", "--rounds", "-3", "-o", "o.json"],
+    ["dg", "reduce", "X", "--n", "2", "--uv-trials", "-1"],
+    ["dg", "tower", "X", "--n", "0", "--k", "2"],
     ["certify", "K", "L", "--budget", "-1"],
     ["certify", "K", "L", "--budget", "0"],
     ["moore", "--p", "3", "--coherence", "1"],
@@ -575,6 +561,8 @@ def _no_dg(monkeypatch):
     ([10 ** 7], ["tower", "--n", "2", "--k", "1"]),
     ([1, 1], ["tower", "--n", "2", "--k", "13"]),       # 2,125,764 cells
     ([1], ["tower", "--n", "2", "--k", str(10 ** 18)]),
+    # a uv trial's dense map X -> t(X) has 2|X|^2 entries: 1,002,528
+    ([708], ["reduce", "--n", "2", "--uv-trials", "1"]),
 ])
 def test_cli_refuses_dg_past_the_cell_budget(tmp_path, monkeypatch, ranks,
                                              argv):
@@ -589,12 +577,14 @@ def test_cli_refuses_dg_past_the_cell_budget(tmp_path, monkeypatch, ranks,
 @pytest.mark.parametrize("ranks, n, k", [
     ((4, 5, 3), 2, 3), ((3, 3, 2), 3, 3),    # the benchmark's: 216 and 144
     ((1, 1), 2, 12),                         # 708,588 cells
+    ((707,), 2, 6),        # 999,698 uv-trial entries; 343,602 cells
 ])
 def test_cli_dg_budget_admits_the_benchmark_towers(tmp_path, monkeypatch,
                                                    ranks, n, k):
     path = _complex_file(tmp_path, ranks)
     _no_dg(monkeypatch)
     for argv in (["reduce", "--n", str(n)],
+                 ["reduce", "--n", str(n), "--uv-trials", "1"],
                  ["tower", "--n", str(n), "--k", str(k)]):
         with pytest.raises(AssertionError, match="was built"):
             run(["dg", argv[0], path] + argv[1:], stream=_io.StringIO())

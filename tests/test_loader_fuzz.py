@@ -3,8 +3,9 @@ valid object or in SchemaError, never in another exception.
 
 The dicts are drawn near valid files (small Delta-sets with random face
 tables, small complexes with boundaries of the right shapes, valid
-morphisms written next to their source and target files), and then up
-to two of their fields are overwritten with arbitrary JSON values."""
+morphisms written next to their source and target files, cone
+certificates of small Delta-sets), and then up to two of their fields are
+overwritten with arbitrary JSON values."""
 
 import json
 import os
@@ -153,3 +154,50 @@ def test_morphism_loader_ends_in_a_valid_morphism_or_schema_error(case):
             return
     assert isinstance(g, dsx.DeltaMorphism)
     assert g.validate() == []
+
+
+CONE_CERTIFICATES = [dsx.cone(K)[2] for K in (
+    dsx.standard("simplex", 0), dsx.standard("boundary", 2),
+    dsx.cycle_graph(2))]
+MOVE_FIELDS = ["direction", "e", "i", "e_faces", "f_faces"]
+
+
+@st.composite
+def certificate_dicts(draw):
+    """A cone certificate's dict with up to two of its move fields, a whole
+    move, or its move list overwritten by arbitrary JSON."""
+    data = dio.certificate_to_dict(draw(st.sampled_from(CONE_CERTIFICATES)))
+    for key in draw(st.lists(st.sampled_from(MOVE_FIELDS + ["move", "moves"]),
+                             max_size=2)):
+        if not isinstance(data["moves"], list) or not data["moves"]:
+            break
+        if key == "moves":
+            data["moves"] = draw(JSON)
+            continue
+        k = draw(st.integers(0, len(data["moves"]) - 1))
+        if key == "move" or not isinstance(data["moves"][k], dict):
+            data["moves"][k] = draw(JSON)
+        else:
+            data["moves"][k][key] = draw(JSON)
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(certificate_dicts())
+def test_certificate_loader_ends_in_a_certificate_or_schema_error(data):
+    try:
+        cert = dio.certificate_from_dict(data)
+    except dio.SchemaError:
+        return
+    assert isinstance(cert, dsx.ExpansionCertificate)
+    again = dio.certificate_from_dict(dio.certificate_to_dict(cert))
+    assert dio.certificate_to_dict(again) == dio.certificate_to_dict(cert)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("i", 1.7), ("i", True), ("direction", "sideways")])
+def test_certificate_loader_refuses_malformed_moves(key, value):
+    data = dio.certificate_to_dict(CONE_CERTIFICATES[0])
+    data["moves"][0][key] = value
+    with pytest.raises(dio.SchemaError):
+        dio.certificate_from_dict(data)

@@ -276,44 +276,3 @@ def test_cone_and_cylinder_counts_predict_built_counts(corpus):
     assert cone_counts(dsx.geometric_product(C4, C4).counts()) == \
         (17, 64, 80, 32)
 
-
-# ---------------------------------------------------------------------------
-# horn filling
-# ---------------------------------------------------------------------------
-
-def test_fill_horns_point():
-    pt = dsx.standard("simplex", 0)
-    out, cert = dsx.fill_horns(pt, 1, 1)
-    assert cert.verify()
-    assert len(cert) == 2  # one horn map per side of Lambda[1]
-    assert dsx.is_valid(out)
-    assert homology_tables_equal(pt, out)
-
-
-def test_fill_horns_refills_its_own_output():
-    # the second filling skips the names fill0, fill0:d0, ... of the first
-    once, first = dsx.fill_horns(dsx.standard("simplex", 0), 1, 1)
-    twice, second = dsx.fill_horns(once, 1, 1)
-    assert first.verify() and second.verify()
-    assert len(second) == 2 and twice.n_cells() == once.n_cells() + 4
-    assert homology_tables_equal(once, twice)
-
-
-def test_fill_horns_homology_invariant(corpus):
-    for name in ("C3", "bdD2"):
-        K = corpus[name]
-        out, cert = dsx.fill_horns(K, 2, 1)
-        assert cert.verify()
-        assert out.n_cells() >= K.n_cells()
-        assert homology_tables_equal(K, out)
-
-
-def test_fill_horns_monotone_growth():
-    K = dsx.cycle_graph(3)
-    sizes = [K.n_cells()]
-    cur = K
-    for _ in range(2):
-        cur, cert = dsx.fill_horns(cur, 1, 1)
-        assert cert.verify()
-        sizes.append(cur.n_cells())
-    assert sizes[0] <= sizes[1] <= sizes[2]
