@@ -17,7 +17,7 @@ import time
 from . import io as dio
 from .delta import SubDeltaSet, validate
 from .dgred import order_tower, reduce_mod_n, uv_identities
-from .homology import bockstein, certify_moore, homology_of, \
+from .homology import PRIME_LIMIT, bockstein, certify_moore, homology_of, \
     homology_table, is_prime
 from .moore import MooreSystem, moore_counts
 from .moves import BudgetExhausted, cone, cone_counts, cylinder_counts, \
@@ -57,7 +57,8 @@ def _at_least(least):
     return _integer(lambda v: v >= least, f">= {least}")
 
 
-_prime = _integer(is_prime, "prime")
+_prime = _integer(lambda v: v < PRIME_LIMIT and is_prime(v),
+                  "a prime below 2**64")
 
 
 def build_parser():

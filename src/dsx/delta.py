@@ -25,48 +25,35 @@ from itertools import combinations
 
 
 def safe_key(k):
-    """Total order on nested int/str/tuple sort keys across mixed shapes."""
+    """Total order on nested number/str/tuple sort keys across mixed shapes.
+
+    Numbers (int, bool, float) come first, ordered by value, then strings
+    (and any other leaf, by its str()), then tuples, each tuple by its
+    entries' safe keys in turn.
+    """
     if isinstance(k, tuple):
         return (2, tuple(safe_key(x) for x in k))
-    if isinstance(k, bool) or isinstance(k, int):
-        return (0, (int(k),))
+    if isinstance(k, (int, float)):
+        return (0, (k,))
     return (1, (str(k),))
-
-
-def _plain(keys):
-    """True when every key is built from str, int, bool and tuples only."""
-    seen = set()  # ids of tuples already walked; charts are shared objects
-    stack = list(keys)
-    while stack:
-        k = stack.pop()
-        t = type(k)
-        if t is tuple:
-            if id(k) not in seen:
-                seen.add(id(k))
-                stack.extend(k)
-        elif t is not str and t is not int and t is not bool:
-            return False
-    return True
 
 
 def sorted_cells(names, sort_keys):
     """`names` in the order of safe_key(sort_keys.get(s, (s,))).
 
-    On keys built from str, int, bool and tuples, plain comparison agrees
-    with safe_key wherever it does not raise, and it raises TypeError
-    exactly when two compared entries mix types; so such keys are sorted
-    plainly and safe_key is used only after a TypeError.  Any other leaf
-    (a float, which safe_key orders as a string, say) goes to safe_key.
+    This is the one place that decides cell order.  On keys built from
+    numbers, strings and tuples, plain comparison agrees with safe_key
+    wherever it does not raise, and it raises TypeError when two compared
+    entries are of different kinds (number, string, tuple); so the keys
+    are sorted plainly, and by safe_key only after a TypeError.
     """
     names = list(names)
     keys = [sort_keys.get(s, (s,)) for s in names]
-    if _plain(keys):
-        try:
-            order = sorted(range(len(keys)), key=keys.__getitem__)
-            return [names[k] for k in order]
-        except TypeError:
-            pass
-    return sorted(names, key=lambda s: safe_key(sort_keys.get(s, (s,))))
+    try:
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+    except TypeError:
+        return sorted(names, key=lambda s: safe_key(sort_keys.get(s, (s,))))
+    return [names[k] for k in order]
 
 
 class DeltaSet:
@@ -87,11 +74,12 @@ class DeltaSet:
     def __init__(self, simplices, faces, sort_keys=None, based=False):
         """simplices: dict dim -> iterable of names; faces: name -> tuple.
 
-        sort_keys optionally maps names to orderable keys encoding the
-        canonical construction data; simplex lists are sorted by them
-        (by the key (name,) otherwise) so that repeated runs are
-        bit-identical.  The order is that of safe_key; `sorted_cells`
-        reaches it by plain comparison when the keys allow.
+        sort_keys optionally maps names to keys built from numbers,
+        strings and tuples that encode the canonical construction data;
+        each dimension's simplices are listed by `sorted_cells` in the
+        safe_key order of these keys (of (name,) for an unkeyed name), so
+        that repeated runs are bit-identical.  Code that needs cell order
+        reads it from these lists.
         """
         keyed = dict(sort_keys) if sort_keys else {}
         self._sort_keys = keyed

@@ -434,23 +434,20 @@ def uv_identities(red, Y, trials=100, seed=0):
 # extensions over t and order towers
 # ---------------------------------------------------------------------------
 
-def extend_over_mod_n(f, target_ext, n=None):
+def extend_over_mod_n(f, target_ext):
     """Extend a chain map f : K -> E over eta : K -> t(K).
 
-    E must carry an exterior operator (d e + e d = n); the extension is
+    E must carry an exterior operator (d e + e d = n, n = target_ext.n),
+    and K is reduced mod that n; the extension is
     fbar = f o r + e o f o p, and the postcondition identities
     fbar o eta = f, fbar o e_{t(K)} = e o fbar are the oracle: the
     construction raises if they fail.  Returns (fbar, reduction of K).
     """
-    if n is None:
-        n = target_ext.n
-    if n != target_ext.n:
-        raise ValueError("modulus mismatch")
     if f.target is not target_ext.complex and f.target != target_ext.complex:
         raise ValueError("f must land in the exterior module's complex")
     if not is_chain_map(f):
         raise ValueError("extend_over_mod_n needs a chain map")
-    redK = reduce_mod_n(f.source, n)
+    redK = reduce_mod_n(f.source, target_ext.n)
     fbar = f.compose(redK.r) + target_ext.e.compose(f).compose(redK.p)
     if fbar.compose(redK.eta) != f:
         raise AssertionError("extension: fbar o eta != f")
@@ -501,10 +498,10 @@ class OrderTower:
         return all(not lvl.check() for lvl in self.levels)
 
 
-def order_tower(X, n, k, test_maps=None):
+def order_tower(X, n, k):
     """Build k levels: level 1 is t(X); level m + 1 is the cone of the
-    extension over t of a test map into level m (the identity by default),
-    with the inherited e-operator.
+    extension over t of the identity of level m, with the inherited
+    e-operator.
 
     Every level's invariant d e + e d = n is asserted on construction;
     this is the chain-level inductive step of the n-order definition.
@@ -514,15 +511,9 @@ def order_tower(X, n, k, test_maps=None):
     red = reduce_mod_n(X, n)
     levels = [red.ext]
     connecting = []
-    for m in range(1, k):
+    for _ in range(k - 1):
         ext = levels[-1]
-        if test_maps is not None and m - 1 < len(test_maps):
-            f = test_maps[m - 1]
-            if f.target is not ext.complex and f.target != ext.complex:
-                raise ValueError(f"test map {m} must land in level {m}")
-        else:
-            f = identity_map(ext.complex)
-        fbar, redK = extend_over_mod_n(f, ext, n)
+        fbar, redK = extend_over_mod_n(identity_map(ext.complex), ext)
         new_ext, res = cone_exterior(fbar, redK.ext, ext)
         levels.append(new_ext)
         connecting.append(res.i)

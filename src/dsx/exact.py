@@ -312,9 +312,6 @@ class SparseMat:
                 M.rows.setdefault(r, set()).add(c)
         return M
 
-    def nnz(self):
-        return sum(len(col) for col in self.cols.values())
-
     def remove_col(self, c):
         col = self.cols.pop(c, None)
         if col:

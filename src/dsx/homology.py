@@ -39,14 +39,31 @@ from . import exact
 from .delta import DeltaSet
 
 
+PRIME_LIMIT = 2 ** 64
+# Miller-Rabin on these bases is exact below PRIME_LIMIT (Sorenson and
+# Webster, Strong pseudoprimes to twelve prime bases, Math. Comp. 2017)
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    """Whether p is prime, for p < 2**64; ValueError from 2**64 on."""
+    if p >= PRIME_LIMIT:
+        raise ValueError(f"{p} is not below 2**64, where is_prime is exact")
+    if p < 2 or any(p % a == 0 for a in _BASES):
+        return p in _BASES
+    d, s = p - 1, 0
+    while not d % 2:
+        d, s = d // 2, s + 1
+    for a in _BASES:
+        x = pow(a, d, p)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
             return False
-        d += 1
     return True
 
 

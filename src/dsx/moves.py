@@ -8,13 +8,15 @@ the inclusion is a pushout of the horn inclusion Lambda^i[n] -> Delta[n].
 Expansions realize to homotopy equivalences, so integral homology is
 invariant under certificate replay (a tested property, not an assumption).
 
-Moves act on one cell table, `_Cells`: each cell's dimension, faces and
-sort key, and its coface count, the number of face entries that name it.
+Moves act on one cell table, `_Cells`: each cell's dimension and faces,
+and its coface count, the number of face entries that name it.
 The counts change with each expansion and collapse, so the free-pair test
 reads them in place of scanning the cells: {e, e d_i} is free when e has
 coface count 0 and e d_i has count 1.  Certificate replay, the collapse
 search (whose node is the table) and expansion recognition all apply
-their moves to this table.
+their moves to this table.  The table keeps no cell order: a replayed
+set is ordered by the sort keys of the certificate's result, and the
+collapse search reads the order of the set it collapses.
 """
 
 from __future__ import annotations
@@ -48,17 +50,14 @@ class Move:
 
 class _Cells:
     """A Delta-set's cells while moves are applied to it: dimensions, faces,
-    sort keys, the coface count of each cell (how many face entries name
-    it) and the set `tops` of cells with count 0.  Expanded cells take
-    their sort keys from `key_src`."""
+    the coface count of each cell (how many face entries name it) and the
+    set `tops` of cells with count 0."""
 
-    def __init__(self, K, key_src=None):
+    def __init__(self, K):
         if K.based:
             raise ValueError("moves apply to unbased Delta-sets")
         self.dim_of = dict(K.dim_of)
         self.faces = dict(K.faces)
-        self.keys = dict(K._sort_keys)
-        self.key_src = K._sort_keys if key_src is None else key_src
         self.cofaces = dict.fromkeys(self.dim_of, 0)
         for fs in self.faces.values():
             for f in fs:
@@ -92,8 +91,6 @@ class _Cells:
             for fc in fs:
                 self.cofaces[fc] += 1
                 self.tops.discard(fc)
-            if s in self.key_src:
-                self.keys[s] = self.key_src[s]
 
     def free_pairs(self, among):
         """The free pairs (e, i) with e in `among`: e is a face of nothing,
@@ -114,19 +111,12 @@ class _Cells:
                     self.tops.add(fc)
             del self.dim_of[s], self.cofaces[s]
             self.tops.discard(s)
-            self.keys.pop(s, None)
-
-    def delta(self):
-        """The cells as a DeltaSet."""
-        simplices = {}
-        for s, d in self.dim_of.items():
-            simplices.setdefault(d, []).append(s)
-        return DeltaSet(simplices, self.faces, sort_keys=self.keys)
 
 
 class ExpansionCertificate:
     """Ordered moves turning `base` into `result`; replay verifies each
-    move and must reproduce `result` bit-identically."""
+    move and must reproduce `result` bit-identically: the same cells, faces
+    and basedness, ordered by the sort keys of `result`."""
 
     def __init__(self, base, moves, result):
         self.base = base
@@ -137,15 +127,20 @@ class ExpansionCertificate:
         return len(self.moves)
 
     def replay(self):
-        """Re-apply the moves from base, checking freeness at each step."""
-        key_src = self.result if self.result is not None else self.base
-        cells = _Cells(self.base, key_src._sort_keys)
+        """Re-apply the moves from base, checking freeness at each step;
+        the cells are ordered by the sort keys of `result` (of `base` when
+        there is no result)."""
+        cells = _Cells(self.base)
         for mv in self.moves:
             if mv.direction == "expand":
                 cells.expand(mv)
             else:
                 cells.collapse(mv.e, mv.i)
-        return cells.delta()
+        simplices = {}
+        for s, d in cells.dim_of.items():
+            simplices.setdefault(d, []).append(s)
+        order = self.base if self.result is None else self.result
+        return DeltaSet(simplices, cells.faces, sort_keys=order._sort_keys)
 
     def verify(self):
         return self.replay() == self.result
@@ -249,18 +244,20 @@ def find_collapse_sequence(L, K, budget=100000):
         if s not in L.dim_of:
             raise ValueError(f"{s!r} is not a simplex of L")
     # a search node is the table of L minus the collapsed cells; moves
-    # never touch the target, so the search succeeds once only it is left
+    # never touch the target, so the search succeeds once only it is left.
+    # Moves are tried by dimension, highest first, then in L's cell order.
     cells = _Cells(L)
-    key = {s: (-L.dim_of[s], L.sort_key(s)) for s in L.faces}
-    pos = {s: k for k, s in enumerate(L.faces)}
+    order = [s for d in sorted(L.simplices, reverse=True)
+             for s in L.simplices[d]]
+    rank = {s: k for k, s in enumerate(order)}
 
     def collapse_moves():
-        cands = [(key[e], i, pos[e], e)
-                 for e, i in cells.free_pairs(cells.tops)
+        cands = [(rank[e], i) for e, i in cells.free_pairs(cells.tops)
                  if e not in target and L.faces[e][i] not in target]
         heapify(cands)  # a heap, as most nodes try only their first move
         while cands:
-            yield heappop(cands)
+            r, i = heappop(cands)
+            yield order[r], i
 
     collapse_seq = []       # the moves into each node on the stack
     stack = []              # per node, the iterator of its untried moves
@@ -277,7 +274,7 @@ def find_collapse_sequence(L, K, budget=100000):
                 return None
             cells.expand(collapse_seq.pop().inverse())
             step = next(stack[-1], None)
-        _, i, _, e = step
+        e, i = step
         f = L.faces[e][i]
         collapse_seq.append(Move("collapse", e, i, L.faces[e],
                                  L.faces[f] if L.dim_of[f] > 0 else ()))

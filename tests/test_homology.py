@@ -4,7 +4,7 @@ import pytest
 
 import dsx
 from dsx import exact
-from dsx.homology import HomologyGroup
+from dsx.homology import HomologyGroup, is_prime
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +253,24 @@ def test_point_homology():
 def test_homology_rejects_nonprime():
     with pytest.raises(ValueError):
         dsx.homology_of(dsx.circle(), coeff="F", p=6)
+
+
+def test_is_prime_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    # 561 is a Carmichael number; 3215031751 a strong pseudoprime to the
+    # bases 2, 3, 5 and 7
+    for p in [*range(10_001), 10**18 + 3, 2**61 - 1, 561, 3215031751]:
+        assert is_prime(p) == sympy.isprime(p), p
+
+
+def test_primes_past_2_to_64_are_refused():
+    p = 2**64 + 13  # a prime
+    with pytest.raises(ValueError):
+        is_prime(p)
+    with pytest.raises(ValueError):
+        dsx.homology_of(dsx.circle(), coeff="F", p=p)
+    with pytest.raises(ValueError):
+        dsx.bockstein(dsx.circle(), p, 1)
 
 
 def test_universal_coefficients(corpus):

@@ -197,6 +197,16 @@ def test_cli_homology_coefficients(tmp_path):
     assert status == 2
 
 
+def test_cli_homology_over_a_large_prime(tmp_path):
+    # a prime near 10**18 is parsed at once, not by trial division
+    path = _write(tmp_path, "c.json", dsx.cycle_graph(3))
+    p = 10**18 + 3
+    status, report = run(["homology", path, "--coeff", "Fp", "--p", str(p)],
+                         stream=_io.StringIO())
+    assert status == 0
+    assert report["tables"]["homology"] == {"0": f"F_{p}", "1": f"F_{p}"}
+
+
 def test_cli_product_and_smash(tmp_path):
     a = _write(tmp_path, "a.json", dsx.standard("simplex", 1))
     outp = str(tmp_path / "prod.json")
@@ -423,6 +433,7 @@ def test_cli_refuses_files_without_simplices(tmp_path, monkeypatch, argv,
     ["moore", "--p", "3", "--coherence", "-3"],
     ["moore", "--p", "3", "--coherence", "3"],
     ["moore", "--p", "2", "--coherence", "2"],
+    ["homology", "K", "--coeff", "Fp", "--p", str(2**64 + 13)],
 ])
 def test_cli_refuses_out_of_range_numbers(argv):
     # refused while parsing, before any file is read

@@ -133,6 +133,25 @@ def test_collapse_cone_to_point(corpus):
     assert found.verify()
 
 
+def test_collapse_search_mixes_keyed_and_unkeyed_cells():
+    # e1's sort key (1,) and e2's default key ("e2",) do not compare; the
+    # search orders its moves by L's cell order, never by the keys
+    L = dsx.DeltaSet({0: ["a", "b", "c", "d"], 1: ["e1", "e2"]},
+                     {"e1": ("b", "a"), "e2": ("d", "c")},
+                     sort_keys={"e1": (1,)})
+    cert = dsx.find_collapse_sequence(L, dsx.SubDeltaSet(L, ["a", "c"]))
+    assert cert is not None and len(cert) == 2
+    assert cert.verify()
+
+
+def test_replay_orders_cells_by_the_result():
+    # the base keys its apex (5,), the cone (0,): the replayed cells take
+    # the cone's order, so the apex comes first as in CK
+    CK, incl, cert = dsx.cone(dsx.standard("boundary", 2))
+    point = dsx.DeltaSet({0: ["apex"]}, {}, sort_keys={"apex": (5,)})
+    assert dsx.ExpansionCertificate(point, cert.moves, CK).verify()
+
+
 def test_collapse_boundary_in_simplex_none():
     D2 = dsx.standard("simplex", 2)
     sub = dsx.SubDeltaSet(D2, list(dsx.standard("boundary", 2).dim_of))

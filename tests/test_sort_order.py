@@ -1,9 +1,10 @@
 """The constructors' cell order against sorted(..., key=safe_key).
 
-Keys built from int, str, bool and tuples are sorted by plain comparison;
-keys that mix types at a compared position, or that contain a float
-(which safe_key orders as a string), take the safe_key fallback.  Either
-way the order must be safe_key's.
+safe_key orders numbers (int, bool, float) by value, so plain comparison
+agrees with it wherever it does not raise: keys are sorted plainly, and
+keys that mix a number, a string or a tuple at a compared position raise
+TypeError and take the safe_key fallback.  Either way the order must be
+safe_key's.
 """
 
 import pytest
@@ -33,8 +34,8 @@ KEYS = st.one_of(
              max_size=12),
     st.lists(nested(PLAIN_LEAVES), max_size=12),
     st.lists(nested(FLOAT_LEAVES), max_size=12),
-    # numbers alone compare plainly without raising, so only the float
-    # check sends these to safe_key
+    # numbers alone compare plainly without raising, ints with floats by
+    # value as safe_key does, so these never reach the fallback
     st.lists(st.tuples(NUMBERS, NUMBERS), max_size=12),
 )
 
@@ -58,9 +59,11 @@ def test_constructor_order_is_safe_key_order(keys, data):
 
 
 @pytest.mark.parametrize("keys", [
-    [(9.0,), (10.0,)],        # numerically 9 < 10, as strings "10.0" first
-    [(2,), (1.5,)],           # safe_key puts every int before any float
+    [(9.0,), (10.0,)],        # floats sort by value: 9.0 before 10.0
+    [(2,), (1.5,)],           # ints and floats by value: 1.5 before 2
     [(("a",), 1), (("a",), "b"), (1,)],   # mixed types raise TypeError
+    [(10.0,), ("a",), (9.0,)],  # str with float: the fallback sorts the
+                                # floats by value, before the string
 ])
 def test_fallback_keys_follow_safe_key(keys):
     for based in (False, True):
