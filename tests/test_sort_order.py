@@ -35,7 +35,7 @@ KEYS = st.one_of(
     st.lists(nested(PLAIN_LEAVES), max_size=12),
     st.lists(nested(FLOAT_LEAVES), max_size=12),
     # numbers alone compare plainly without raising, ints with floats by
-    # value as safe_key does, so these never reach the fallback
+    # value as safe_key does; only unkeyed names send these to safe_key
     st.lists(st.tuples(NUMBERS, NUMBERS), max_size=12),
 )
 
