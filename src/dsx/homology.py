@@ -217,7 +217,9 @@ def _build_chain_complex(K, reduced):
                     continue
                 key = (index[f], c)
                 coo[key] = coo.get(key, 0) + (-1) ** i
-        d[k] = {key: v for key, v in coo.items() if v}
+        for key in [key for key, v in coo.items() if not v]:
+            del coo[key]
+        d[k] = coo
     lo = 0
     if not based and reduced:
         lo = -1

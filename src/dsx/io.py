@@ -18,11 +18,16 @@ Certificate file: "base", "result" and a list "moves" of moves
       "e_faces": [names...], "f_faces": [names...] }
 
 Loaders validate and refuse invalid files (SchemaError): a Delta-set file
-needs its "simplices" object, one key per dimension and none negative;
-besides the semisimplicial identity, it may give faces only for declared
-simplices, and its optional "dims" must be the top dimension with simplices
-(-1 when there are none); a morphism must be a valid DeltaMorphism; a
-boundary matrix must have the shape its ranks give and d o d = 0.
+needs its "simplices" object, whose keys are dimensions d >= 0 written as
+str(d) ("1", never "01", "+1" or " 1"); besides the semisimplicial identity,
+it may give faces only for declared simplices, and its optional "dims" must
+be the top dimension with simplices (-1 when there are none); a morphism
+must be a valid DeltaMorphism; a boundary matrix must have the shape its
+ranks give and d o d = 0.
+
+A loaded Delta-set or morphism holds one string object per cell name: each
+face entry, map key and map image is the name object declared in its
+Delta-set's "simplices", not the JSON parser's copy of it.
 """
 
 from __future__ import annotations
@@ -78,37 +83,48 @@ def delta_to_dict(K):
     return out
 
 
+def _dimension(key):
+    """The dimension d >= 0 whose str(d) is the 'simplices' key `key`."""
+    try:
+        d = int(key)
+    except (TypeError, ValueError):  # or more digits than int() takes
+        d = -1
+    if d < 0 or str(d) != key:
+        raise SchemaError(f"'simplices' key {key!r} is not a dimension "
+                          f"d >= 0 written as str(d)")
+    return d
+
+
 def delta_from_dict(data):
     simplices = data.get("simplices") if isinstance(data, dict) else None
     if not isinstance(simplices, dict):
         raise SchemaError("not a Delta-set file: 'simplices' is not an object")
-    try:
-        based = data.get("based", False)
-        simplices = {int(d): names for d, names in simplices.items()}
-        raw_faces = data.get("faces", {})
-    except ValueError as exc:
-        raise SchemaError(f"malformed Delta-set file: {exc}") from None
-    if len(simplices) != len(data["simplices"]):  # "1" and "01", say
-        raise SchemaError("two keys of 'simplices' name one dimension")
+    based = data.get("based", False)
+    raw_faces = data.get("faces", {})
     if type(based) is not bool:
         raise SchemaError(f"'based' is {based!r}, not true or false")
     if not isinstance(raw_faces, dict):
         raise SchemaError("malformed Delta-set file: 'faces' is not an object")
+    simplices = {_dimension(key): names for key, names in simplices.items()}
     for d, names in simplices.items():
-        if d < 0:
-            raise SchemaError(f"simplices of negative dimension {d}")
         if not isinstance(names, list):
             raise SchemaError(f"simplices of dimension {d} are not a list")
         for s in names:
             if not isinstance(s, str) or s == BASEPOINT:
                 raise SchemaError(f"bad simplex name {s!r}")
+    # Each face entry becomes the declared name object, so the parser's
+    # copies die with `data`; an undeclared name passes through for
+    # DeltaSet to refuse.
+    names = {s: s for ns in simplices.values() for s in ns}
+    if based:
+        names[BASEPOINT] = None
     faces = {}
     for s, fs in raw_faces.items():
         if not isinstance(fs, list) or not all(isinstance(f, str) for f in fs):
             raise SchemaError(f"faces of {s!r} are not a list of names")
         if not based and BASEPOINT in fs:
             raise SchemaError("'*' face entry in an unbased file")
-        faces[s] = tuple(None if f == BASEPOINT else f for f in fs)
+        faces[s] = tuple(map(names.get, fs, fs))
     try:
         K = DeltaSet(simplices, faces, based=based)
         report = validate(K)
@@ -161,7 +177,10 @@ def read_morphism(path):
     if strays:
         raise SchemaError(f"morphism file {path}: {strays[:3]} are not "
                           f"simplices of the source")
-    mapping = {s: (None if t == BASEPOINT else t) for s, t in raw_map.items()}
+    sources = {s: s for s in src.dim_of}
+    images = {t: t for t in tgt.dim_of}
+    images[BASEPOINT] = None
+    mapping = {sources[s]: images.get(t, t) for s, t in raw_map.items()}
     try:
         return DeltaMorphism(src, tgt, mapping)
     except ValueError as exc:  # "invalid morphism: [problems]"

@@ -75,9 +75,13 @@ def test_loader_refuses_star_in_unbased(tmp_path):
     # simplices of a negative dimension
     {"simplices": {"-1": ["m"], "0": ["a", "b"], "1": ["e"]},
      "faces": {"e": ["b", "a"]}},
-    # two keys for one dimension, which would drop the vertex a
+    # "00" is not str(0); read as 0, it would drop the vertex a
     {"simplices": {"0": ["a"], "00": ["b"], "1": ["e"]},
      "faces": {"e": ["b", "b"]}},
+    # dimension keys that int() reads but that are not str(d)
+    {"simplices": {"0": ["a", "b"], "0_1": ["e"]}, "faces": {"e": ["b", "a"]}},
+    {"simplices": {"+0": ["a"]}, "faces": {}},
+    {"simplices": {"0": ["a", "b"], " 1": ["e"]}, "faces": {"e": ["b", "a"]}},
 ])
 def test_loader_refuses_malformed(tmp_path, bad):
     path = tmp_path / "bad.json"
@@ -126,6 +130,29 @@ def test_morphism_roundtrip(tmp_path):
     (tmp_path / "f.json").write_text(json.dumps(data))
     g = dio.read_morphism(tmp_path / "f.json")
     assert g.mapping == f.mapping
+
+
+def _declared(K):
+    return {id(s) for _, s in K.all_cells()}
+
+
+def test_loaded_names_are_the_declared_objects(tmp_path):
+    # the identity of a based set, between two files that hold it
+    K = dsx.s_bracket(3)
+    assert K.based
+    dio.write_delta(K, tmp_path / "k.json")
+    dio.write_delta(K, tmp_path / "copy.json")
+    identity = dsx.DeltaMorphism(K, K, {s: s for _, s in K.all_cells()})
+    data = dio.morphism_to_dict(identity, "k.json", "copy.json")
+    (tmp_path / "f.json").write_text(json.dumps(data))
+    g = dio.read_morphism(tmp_path / "f.json")
+    src, tgt = _declared(g.source), _declared(g.target)
+    for L, names in ((g.source, src), (g.target, tgt)):
+        faces = [f for fs in L.faces.values() for f in fs if f is not None]
+        assert faces and all(id(f) in names for f in faces)
+    assert all(id(s) in src for s in g.mapping)
+    images = [t for t in g.mapping.values() if t is not None]
+    assert images and all(id(t) in tgt for t in images)
 
 
 def test_complex_roundtrip(tmp_path):
