@@ -217,9 +217,7 @@ def _build_chain_complex(K, reduced):
                     continue
                 key = (index[f], c)
                 coo[key] = coo.get(key, 0) + (-1) ** i
-        for key in [key for key, v in coo.items() if not v]:
-            del coo[key]
-        d[k] = coo
+        d[k] = {key: v for key, v in coo.items() if v}
     lo = 0
     if not based and reduced:
         lo = -1

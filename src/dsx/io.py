@@ -25,9 +25,9 @@ be the top dimension with simplices (-1 when there are none); a morphism
 must be a valid DeltaMorphism; a boundary matrix must have the shape its
 ranks give and d o d = 0.
 
-A loaded Delta-set or morphism holds one string object per cell name: each
-face entry, map key and map image is the name object declared in its
-Delta-set's "simplices", not the JSON parser's copy of it.
+A loaded Delta-set holds one string object per cell name: each face entry
+is the name object declared in its "simplices", not the JSON parser's copy
+of it.
 """
 
 from __future__ import annotations
@@ -177,10 +177,7 @@ def read_morphism(path):
     if strays:
         raise SchemaError(f"morphism file {path}: {strays[:3]} are not "
                           f"simplices of the source")
-    sources = {s: s for s in src.dim_of}
-    images = {t: t for t in tgt.dim_of}
-    images[BASEPOINT] = None
-    mapping = {sources[s]: images.get(t, t) for s, t in raw_map.items()}
+    mapping = {s: (None if t == BASEPOINT else t) for s, t in raw_map.items()}
     try:
         return DeltaMorphism(src, tgt, mapping)
     except ValueError as exc:  # "invalid morphism: [problems]"
