@@ -292,8 +292,30 @@ def smith(A, with_transforms=True):
 # sparse matrices
 # ---------------------------------------------------------------------------
 
+# A row of SparseMat's index is a list until it holds more than this many
+# column ids; then it becomes a _LongRow, so that removing an entry never
+# scans a long row.  Most rows of a Delta-set's boundary hold 2 to 8 ids,
+# and a list of them takes a third of the memory of a set.
+_ROW_LIST_MAX = 16
+
+
+class _LongRow(dict):
+    """A long row of SparseMat's index: its column ids are the keys of an
+    insertion-ordered dict, which answers the two list calls the index
+    makes (append(c) stores c -> None, remove(c) deletes c)."""
+
+    __slots__ = ()
+    append = dict.setdefault
+    remove = dict.__delitem__
+
+
 class SparseMat:
-    """Column-major sparse integer matrix: cols[c][r] = value, rows[r] = {c}."""
+    """Column-major sparse integer matrix: cols[c] = {r: value}, with a row
+    index rows[r] of the column ids of row r's entries, in the order they
+    appeared (a list, or a _LongRow past _ROW_LIST_MAX ids).  No zero is
+    stored and rows is exactly the transpose of cols: an id is in rows[r]
+    once iff r is in cols[id], and no row is empty.  The index changes only
+    when an entry appears or vanishes."""
 
     __slots__ = ("cols", "rows", "nrows", "ncols")
 
@@ -306,31 +328,44 @@ class SparseMat:
     @classmethod
     def from_entries(cls, nrows, ncols, entries):
         M = cls(nrows, ncols)
+        cols = M.cols
         for (r, c), v in entries.items():
             if v:
-                M.cols.setdefault(c, {})[r] = v
-                M.rows.setdefault(r, set()).add(c)
+                col = cols.get(c)
+                if col is None:
+                    cols[c] = {r: v}
+                else:
+                    col[r] = v
+                M._link(r, c)
         return M
 
+    def _link(self, r, c):
+        """Index a new entry at (r, c)."""
+        row = self.rows.get(r)
+        if row is None:
+            self.rows[r] = [c]
+        else:
+            row.append(c)
+            if len(row) > _ROW_LIST_MAX and type(row) is list:
+                self.rows[r] = _LongRow.fromkeys(row)
+
+    def _unlink(self, r, c):
+        """Drop the vanished entry at (r, c) from the index."""
+        row = self.rows[r]
+        row.remove(c)
+        if not row:
+            del self.rows[r]
+
     def remove_col(self, c):
-        col = self.cols.pop(c, None)
-        if col:
-            for r in col:
-                s = self.rows.get(r)
-                if s is not None:
-                    s.discard(c)
-                    if not s:
-                        del self.rows[r]
+        for r in self.cols.pop(c, ()):
+            self._unlink(r, c)
 
     def remove_row(self, r):
-        cs = self.rows.pop(r, None)
-        if cs:
-            for c in cs:
-                col = self.cols.get(c)
-                if col is not None:
-                    col.pop(r, None)
-                    if not col:
-                        del self.cols[c]
+        for c in self.rows.pop(r, ()):
+            col = self.cols[c]
+            del col[r]
+            if not col:
+                del self.cols[c]
 
     def col_axpy(self, j, colc, q, p=None):
         """col_j += q * colc for a column dict colc {row: value}, reduced
@@ -339,21 +374,19 @@ class SparseMat:
             return
         colj = self.cols.setdefault(j, {})
         for r, v in colc.items():
-            nv = colj.get(r, 0) + q * v
+            old = colj.get(r)
+            nv = q * v if old is None else old + q * v
             if p is not None:
                 nv %= p
             if nv:
                 colj[r] = nv
-                self.rows.setdefault(r, set()).add(j)
-            elif r in colj:
+                if old is None:
+                    self._link(r, j)
+            elif old is not None:
                 del colj[r]
-                s = self.rows.get(r)
-                if s is not None:
-                    s.discard(j)
-                    if not s:
-                        del self.rows[r]
+                self._unlink(r, j)
         if not colj:
-            self.cols.pop(j, None)
+            del self.cols[j]
 
     def reduce_mod(self, p):
         """Reduce every entry mod p, dropping the ones that vanish."""
@@ -361,10 +394,7 @@ class SparseMat:
             col = self.cols[c]
             for r in [r for r, v in col.items() if v % p == 0]:
                 del col[r]
-                s = self.rows[r]
-                s.discard(c)
-                if not s:
-                    del self.rows[r]
+                self._unlink(r, c)
             for r in col:
                 col[r] %= p
             if not col:
@@ -471,6 +501,11 @@ def _cancel_units(mats, q=None):
     estimate (row nnz - 1) * (col nnz - 1), then degree and position;
     stale keys are re-pushed.  The heap is built at its first use, from
     the unit entries that the queue left.
+
+    The queue follows the index's insertion order, not hash order: rows
+    and columns are queued in the order the matrices list them, and the
+    ids of a row in the order its entries appeared.  So the pivot order is
+    fixed by the order of the input entries alone.
     """
     queue = deque()
     for k, m in mats.items():

@@ -217,7 +217,11 @@ def _build_chain_complex(K, reduced):
                     continue
                 key = (index[f], c)
                 coo[key] = coo.get(key, 0) + (-1) ** i
-        d[k] = {key: v for key, v in coo.items() if v}
+        # faces that cancel (two equal faces of opposite sign) leave zeros,
+        # dropped in place so that no filtered copy of coo is ever alive
+        for key in [key for key, v in coo.items() if not v]:
+            del coo[key]
+        d[k] = coo
     lo = 0
     if not based and reduced:
         lo = -1

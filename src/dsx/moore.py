@@ -333,29 +333,29 @@ def symmetric_power_of(X, i):
     if i == 1:
         return X, identity_morphism(X), X
     W = n_ary_smash([X] * i)
-    # the least member of an orbit is itself a cell of W, so the orbit is
-    # named "O" + that cell's name, which is orbit_cell_name(rep)
-    cell_reps = []
-    least = []  # (dim, W cell, representative) of each orbit's least member
+    # One pass over W in its order, dimension ascending, so a cell's faces
+    # have their orbits named before the cell.  Each orbit is named once,
+    # orbit_cell_name(rep) at its first member; that is "O" + the name of
+    # its least member (the member that is its own representative), which
+    # gives the orbit its dimension, sort key and projected faces.
     names = {}  # orbit representative -> orbit name
-    for d, s in W.all_cells():
-        key = cell_data(W, s)
-        rep = _orbit_rep(key)
-        cell_reps.append((s, rep))
-        if rep == key:
-            names[rep] = "O" + s
-            least.append((d, s, rep))
-    _least_factors.cache_clear()  # else it outlives W: 6,400 tuples at p=5
-    orbit_map = {s: names[rep] for s, rep in cell_reps}
+    orbit_map = {}
     simplices = {}
     faces = {}
     keys = {}
-    for d, s, rep in least:
-        name = names[rep]
-        simplices.setdefault(d, []).append(name)
-        keys[name] = rep
-        if d > 0:
-            faces[name] = tuple(map(orbit_map.get, W.faces[s]))
+    for d, s in W.all_cells():
+        key = cell_data(W, s)
+        rep = _orbit_rep(key)
+        name = names.get(rep)
+        if name is None:
+            name = names[rep] = orbit_cell_name(rep)
+        orbit_map[s] = name
+        if rep == key:
+            simplices.setdefault(d, []).append(name)
+            keys[name] = rep
+            if d > 0:
+                faces[name] = tuple(map(orbit_map.get, W.faces[s]))
+    _least_factors.cache_clear()  # else it outlives W: 6,400 tuples at p=5
     P = DeltaSet(simplices, faces, sort_keys=keys, based=True)
     return P, DeltaMorphism(W, P, orbit_map), W
 

@@ -2,12 +2,14 @@
 
 Small integer matrices mix +-1 entries (which the kernel cancels), zeros
 and non-units (which reach dense Smith over Z); their invariant factors and
-mod-p ranks must agree with sympy's.  Reduced over Z/p^2, a matrix leaves a
-residue p*B with B's mod-p rank the number of invariant factors of p-adic
-valuation one.  Whole complexes of random 2-dimensional Delta-sets and
-their cones, where the free-face and coreduction queue cancels across
-degrees, must have the homology that dense reduction gives with no Morse
-step at all.  The d o d check of a chain complex, run on Delta-set
+mod-p ranks must agree with sympy's.  After elimination over Z and over
+F_p, on sparse matrices with rows longer than the row index keeps as
+lists, the index must still be exactly the transpose of the columns.
+Reduced over Z/p^2, a matrix leaves a residue p*B with B's mod-p rank the
+number of invariant factors of p-adic valuation one.  Whole complexes of
+random 2-dimensional Delta-sets and their cones, where the free-face and
+coreduction queue cancels across degrees, must have the homology that
+dense reduction gives with no Morse step at all.  The d o d check of a chain complex, run on Delta-set
 complexes with entries planted in two degrees, must report exactly the
 degrees where the dense product d_{k-1} d_k is nonzero.  A chain map's
 verdict, decided on its target's Morse residue with the map carried
@@ -75,6 +77,54 @@ def test_sparse_rank_mod_p_matches_sympy(A):
     for p in (2, 3, 5, 7):
         want = DomainMatrix.from_list(A, GF(p)).rank()
         assert exact.sparse_rank_mod_p(sparse_of(A), p) == want, p
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Sparse integer matrices whose rows straddle the length at which the
+    row index turns a list into a dict: some rows start past it, and
+    fill-in can carry others past it during elimination."""
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, exact._ROW_LIST_MAX + 6))
+    A = [[draw(st.sampled_from((0, 0, 0, 1, -1, 2, -3))) for _ in range(n)]
+         for _ in range(m)]
+    if draw(st.booleans()):
+        # a hub row near or past that length, with gaps for fill-in
+        A[draw(st.integers(0, m - 1))] = [
+            draw(st.sampled_from((0, 1, -1, 1, 2))) for _ in range(n)]
+    return A
+
+
+def assert_index_is_the_transpose(M):
+    """rows[r] lists each column with an entry in row r exactly once, and
+    nothing else: no stale id, no duplicate, no empty row, no zero entry;
+    a row past the list length is no list."""
+    for r, row in M.rows.items():
+        assert row and len(set(row)) == len(row), r
+        assert len(row) <= exact._ROW_LIST_MAX or not isinstance(row, list)
+    assert all(v for col in M.cols.values() for v in col.values())
+    assert sorted((r, c) for r, row in M.rows.items() for c in row) == \
+        sorted((r, c) for c, col in M.cols.items() for r in col)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices())
+def test_row_index_stays_the_transpose_of_the_columns(A):
+    want = sympy_factors(A)
+    M = sparse_of(A)
+    assert_index_is_the_transpose(M)
+    rank = len(exact._cancel_units({1: M}))
+    assert_index_is_the_transpose(M)
+    rest = exact.smith(exact._dense_from_sparse(M), with_transforms=False) \
+        .invariant_factors() if M.cols else []
+    assert (rank + len(rest), [1] * rank + rest) == (len(want), want)
+    for p in (2, 3, 5):
+        M = sparse_of(A)
+        M.reduce_mod(p)
+        assert_index_is_the_transpose(M)
+        rank = len(exact._cancel_units({1: M}, p))
+        assert_index_is_the_transpose(M)
+        assert rank == DomainMatrix.from_list(A, GF(p)).rank(), p
 
 
 @settings(max_examples=100, deadline=None)

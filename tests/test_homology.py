@@ -24,6 +24,15 @@ def test_chain_complex_of_boundary_two():
     assert str(groups[0]) == "Z" and str(groups[1]) == "Z"
 
 
+def test_a_loop_stores_no_zero_boundary_entry():
+    # an edge with faces (v, v) has boundary v - v = 0: the entry its two
+    # faces add up to is dropped, not stored as a zero
+    K = dsx.DeltaSet({0: ["v"], 1: ["e"]}, {"e": ("v", "v")})
+    C = dsx.chain_complex(K)
+    assert C.d[1] == {}
+    assert str(dsx.homology(C)[1]) == "Z"
+
+
 def test_reduced_complex_of_circle():
     C = dsx.chain_complex(dsx.circle(), reduced=True)
     assert C.rank(1) == 1 and C.rank(0) == 0
