@@ -292,30 +292,13 @@ def smith(A, with_transforms=True):
 # sparse matrices
 # ---------------------------------------------------------------------------
 
-# A row of SparseMat's index is a list until it holds more than this many
-# column ids; then it becomes a _LongRow, so that removing an entry never
-# scans a long row.  Most rows of a Delta-set's boundary hold 2 to 8 ids,
-# and a list of them takes a third of the memory of a set.
-_ROW_LIST_MAX = 16
-
-
-class _LongRow(dict):
-    """A long row of SparseMat's index: its column ids are the keys of an
-    insertion-ordered dict, which answers the two list calls the index
-    makes (append(c) stores c -> None, remove(c) deletes c)."""
-
-    __slots__ = ()
-    append = dict.setdefault
-    remove = dict.__delitem__
-
-
 class SparseMat:
     """Column-major sparse integer matrix: cols[c] = {r: value}, with a row
-    index rows[r] of the column ids of row r's entries, in the order they
-    appeared (a list, or a _LongRow past _ROW_LIST_MAX ids).  No zero is
-    stored and rows is exactly the transpose of cols: an id is in rows[r]
-    once iff r is in cols[id], and no row is empty.  The index changes only
-    when an entry appears or vanishes."""
+    index rows[r] = {c: None} whose keys are the column ids of row r's
+    entries, in the order they appeared.  No zero is stored and rows is
+    exactly the transpose of cols: c is in rows[r] iff r is in cols[c],
+    and no row is empty.  The index changes only when an entry appears or
+    vanishes."""
 
     __slots__ = ("cols", "rows", "nrows", "ncols")
 
@@ -343,16 +326,14 @@ class SparseMat:
         """Index a new entry at (r, c)."""
         row = self.rows.get(r)
         if row is None:
-            self.rows[r] = [c]
+            self.rows[r] = {c: None}
         else:
-            row.append(c)
-            if len(row) > _ROW_LIST_MAX and type(row) is list:
-                self.rows[r] = _LongRow.fromkeys(row)
+            row[c] = None
 
     def _unlink(self, r, c):
         """Drop the vanished entry at (r, c) from the index."""
         row = self.rows[r]
-        row.remove(c)
+        del row[c]
         if not row:
             del self.rows[r]
 

@@ -3,8 +3,8 @@
 Small integer matrices mix +-1 entries (which the kernel cancels), zeros
 and non-units (which reach dense Smith over Z); their invariant factors and
 mod-p ranks must agree with sympy's.  After elimination over Z and over
-F_p, on sparse matrices with rows longer than the row index keeps as
-lists, the index must still be exactly the transpose of the columns.
+F_p, on sparse matrices with a long hub row, the row index must still be
+exactly the transpose of the columns.
 Reduced over Z/p^2, a matrix leaves a residue p*B with B's mod-p rank the
 number of invariant factors of p-adic valuation one.  Whole complexes of
 random 2-dimensional Delta-sets and their cones, where the free-face and
@@ -81,27 +81,24 @@ def test_sparse_rank_mod_p_matches_sympy(A):
 
 @st.composite
 def sparse_matrices(draw):
-    """Sparse integer matrices whose rows straddle the length at which the
-    row index turns a list into a dict: some rows start past it, and
-    fill-in can carry others past it during elimination."""
+    """Sparse integer matrices of up to 8 x 22 entries, some with a hub
+    row that most columns meet, so that elimination removes many ids from
+    one row and fill-in adds others to it."""
     m = draw(st.integers(1, 8))
-    n = draw(st.integers(1, exact._ROW_LIST_MAX + 6))
+    n = draw(st.integers(1, 22))
     A = [[draw(st.sampled_from((0, 0, 0, 1, -1, 2, -3))) for _ in range(n)]
          for _ in range(m)]
     if draw(st.booleans()):
-        # a hub row near or past that length, with gaps for fill-in
+        # a hub row, with gaps for fill-in
         A[draw(st.integers(0, m - 1))] = [
             draw(st.sampled_from((0, 1, -1, 1, 2))) for _ in range(n)]
     return A
 
 
 def assert_index_is_the_transpose(M):
-    """rows[r] lists each column with an entry in row r exactly once, and
-    nothing else: no stale id, no duplicate, no empty row, no zero entry;
-    a row past the list length is no list."""
-    for r, row in M.rows.items():
-        assert row and len(set(row)) == len(row), r
-        assert len(row) <= exact._ROW_LIST_MAX or not isinstance(row, list)
+    """rows[r] holds each column with an entry in row r, and nothing
+    else: no stale id, no empty row, no zero entry."""
+    assert all(M.rows.values())
     assert all(v for col in M.cols.values() for v in col.values())
     assert sorted((r, c) for r, row in M.rows.items() for c in row) == \
         sorted((r, c) for c, col in M.cols.items() for r in col)
