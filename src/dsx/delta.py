@@ -210,7 +210,9 @@ def standard(kind, n, i=None):
     Simplices of Delta[n] are the injective monotone maps [k] -> [n],
     identified with their image tuples; there are C(n+1, k+1) of them in
     dimension k.  The boundary omits the identity; the horn additionally
-    omits d_i (the codimension-1 face skipping vertex i).
+    omits d_i (the codimension-1 face skipping vertex i).  Each is built by
+    `from_simplicial_complex` from its maximal simplices: [n] itself, every
+    codimension-1 face, or the codimension-1 faces that contain vertex i.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -219,26 +221,11 @@ def standard(kind, n, i=None):
     if kind == "horn":
         if i is None or not 0 <= i <= n:
             raise ValueError(f"horn index {i!r} out of range for n={n}")
-    verts = tuple(range(n + 1))
-    excluded = set()
-    if kind in ("boundary", "horn"):
-        excluded.add(verts)
-    if kind == "horn":
-        excluded.add(tuple(v for v in verts if v != i))
-    simplices = {}
-    faces = {}
-    keys = {}
-    for k in range(n + 1):
-        for sub in combinations(verts, k + 1):
-            if sub in excluded:
-                continue
-            name = _tuple_name(sub)
-            simplices.setdefault(k, []).append(name)
-            keys[name] = sub
-            if k > 0:
-                faces[name] = tuple(
-                    _tuple_name(sub[:j] + sub[j + 1:]) for j in range(k + 1))
-    return DeltaSet(simplices, faces, sort_keys=keys)
+    verts = range(n + 1)
+    if kind == "simplex":
+        return from_simplicial_complex([verts])
+    return from_simplicial_complex(
+        s for s in combinations(verts, n) if kind == "boundary" or i in s)
 
 
 def cycle_graph(n):

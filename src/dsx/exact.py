@@ -61,10 +61,6 @@ def mat_mul(A, B):
     return out
 
 
-def mat_eq(A, B):
-    return len(A) == len(B) and all(ra == rb for ra, rb in zip(A, B))
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form with transforms
 # ---------------------------------------------------------------------------
@@ -105,7 +101,7 @@ class SmithDecomposition:
         r = min(m, n)
         UD = [[row[j] * self.D[j][j] if j < r else 0 for j in range(n)]
               for row in self.U]
-        if not mat_eq(mat_mul(UD, self.V), A):
+        if mat_mul(UD, self.V) != A:
             return False
         diag = self.diagonal()
         for i, d in enumerate(diag):
@@ -125,8 +121,8 @@ class SmithDecomposition:
     def verify_inverses(self):
         """Check the recorded unimodularity witnesses U^-1 and V^-1."""
         m, n = self.shape
-        return mat_eq(mat_mul(self.U, self.U_inv), eye(m)) and \
-            mat_eq(mat_mul(self.V, self.V_inv), eye(n))
+        return mat_mul(self.U, self.U_inv) == eye(m) and \
+            mat_mul(self.V, self.V_inv) == eye(n)
 
     def verify(self, A):
         """Full check: product, chain, shape, and recorded inverses."""

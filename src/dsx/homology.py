@@ -75,15 +75,13 @@ class ChainComplex:
     """Finitely supported complex of free Z-modules with sparse boundaries.
 
     ranks[k] is the rank in degree k; d[k] is a COO dict {(row, col): v}
-    for the boundary C_k -> C_{k-1}.  `basis[k]`, when present, names the
-    generators (used to align induced maps with Delta-set cells).  The
-    complex adopts the dicts of `d` without copying them, so they must not
-    be changed afterwards.
+    for the boundary C_k -> C_{k-1}.  The complex adopts the dicts of `d`
+    without copying them, so they must not be changed afterwards.
     """
 
-    __slots__ = ("lo", "hi", "ranks", "d", "basis", "_morse")
+    __slots__ = ("lo", "hi", "ranks", "d", "_morse")
 
-    def __init__(self, lo, hi, ranks, d, basis=None, check=True):
+    def __init__(self, lo, hi, ranks, d, check=True):
         self.lo = lo
         self.hi = hi
         self.ranks = {k: int(ranks.get(k, 0)) for k in range(lo, hi + 1)}
@@ -95,7 +93,6 @@ class ChainComplex:
                     raise ValueError(f"boundary in degree {k} has no room")
                 coo = {}
             self.d[k] = coo
-        self.basis = basis
         self._morse = None  # (residue, pivot record), once computed
         if check:
             bad = self.verify()
@@ -200,18 +197,15 @@ def chain_complex(K, reduced=False):
 def _build_chain_complex(K, reduced):
     based = K.based
     top = K.top_dim
-    basis = {}
     index = {}
     for k in range(0, top + 1):
-        cells = K.cells(k)
-        basis[k] = tuple(cells)
-        for i, s in enumerate(cells):
+        for i, s in enumerate(K.cells(k)):
             index[s] = i
-    ranks = {k: len(basis.get(k, ())) for k in range(0, top + 1)}
+    ranks = {k: len(K.cells(k)) for k in range(0, top + 1)}
     d = {}
     for k in range(1, top + 1):
         coo = {}
-        for c, s in enumerate(basis.get(k, ())):
+        for c, s in enumerate(K.cells(k)):
             for i, f in enumerate(K.faces[s]):
                 if f is None:
                     continue
@@ -230,7 +224,7 @@ def _build_chain_complex(K, reduced):
     if based and not reduced:
         ranks[0] = ranks.get(0, 0) + 1  # disjoint basepoint component
     hi = max(top, 0)
-    return ChainComplex(lo, hi, ranks, d, basis=basis)
+    return ChainComplex(lo, hi, ranks, d)
 
 
 # ---------------------------------------------------------------------------
@@ -341,12 +335,14 @@ def chain_map_matrices(f, reduced=None):
             mats[-1] = {(0, 0): 1}
             continue
         coo = {}
-        tindex = {s: i for i, s in enumerate(CT.basis.get(k, ()))}
-        for c, s in enumerate(CS.basis.get(k, ())):
+        tindex = {s: i for i, s in enumerate(f.target.cells(k))}
+        for c, s in enumerate(f.source.cells(k)):
             t = f.mapping.get(s)
             if t is None:
                 continue
             coo[(tindex[t], c)] = 1
+        if k == 0 and f.source.based and f.target.based and not reduced:
+            coo[(CT.rank(0) - 1, CS.rank(0) - 1)] = 1  # basepoint generators
         mats[k] = coo
     return CS, CT, mats
 

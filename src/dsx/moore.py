@@ -20,9 +20,9 @@ from itertools import permutations
 from .delta import DeltaSet, DeltaMorphism, identity_morphism, pushout, \
     standard
 from .based import based_quotient, finite_model, basepoint_name
-from .products import (smash, n_ary_smash, n_ary_product, cell_name,
-                       cell_data, smash_morphism, smash_morphism_left)
-from .moves import ExpansionCertificate, Move
+from .products import (smash, n_ary_smash, cell_name, cell_data,
+                       smash_morphism, smash_morphism_left)
+from .moves import ExpansionCertificate, Move, cylinder_inclusions
 from .homology import certify_moore, is_homology_iso
 
 
@@ -126,14 +126,7 @@ def hat_circle_expansion_certificate():
     """The inclusion S1 -> S1^ as two elementary expansions, on the finite
     models (explicit basepoint cells up to dimension 2)."""
     hat = finite_model(hat_circle(), up_to=2)
-    base_cells = [basepoint_name(0), basepoint_name(1), basepoint_name(2), "z"]
-    base = DeltaSet(
-        {0: [basepoint_name(0)], 1: [basepoint_name(1), "z"],
-         2: [basepoint_name(2)]},
-        {basepoint_name(1): (basepoint_name(0), basepoint_name(0)),
-         basepoint_name(2): (basepoint_name(1),) * 3,
-         "z": (basepoint_name(0), basepoint_name(0))},
-        sort_keys={s: hat.sort_key(s) for s in base_cells})
+    base = finite_model(circle(), up_to=2)
     moves = [
         Move("expand", "c", 1, hat.faces["c"], hat.faces["g"]),
         Move("expand", "c'", 1, hat.faces["c'"], hat.faces["g'"]),
@@ -169,7 +162,7 @@ def hat_circle_homotopy(i, n):
     hat_skel = finite_model(hat, up_to=2)
     S = circle_segments(n)
     delta1 = standard("simplex", 1)
-    SI = n_ary_product([S, delta1])
+    SI, i0, i1 = cylinder_inclusions(S, delta1)
 
     phi = ((0, 0), (0, 1), (1, 1))
     phi_prime = ((0, 0), (1, 0), (1, 1))
@@ -191,20 +184,12 @@ def hat_circle_homotopy(i, n):
             img = basepoint_name(2)
         mapping[a_cell(k)] = img
         mapping[b_cell(k)] = img
-    # lower cells are determined by face compatibility with any parent
-    for d in (1, 0):
+    # a lower cell takes its image from the first mapped cell (and face
+    # index) it is a face of, in one pass over the faces of dimensions 2, 1
+    for d in (2, 1):
         for s in SI.cells(d):
-            if s in mapping:
-                continue
-            for parent in SI.cells(d + 1):
-                if parent not in mapping:
-                    continue
-                for idx, fc in enumerate(SI.faces[parent]):
-                    if fc == s:
-                        mapping[s] = hat_skel.faces[mapping[parent]][idx]
-                        break
-                if s in mapping:
-                    break
+            for fc, img in zip(SI.faces[s], hat_skel.faces[mapping[s]]):
+                mapping.setdefault(fc, img)
     H = DeltaMorphism(SI, hat_skel, mapping)
 
     record = {"i": i, "n": n, "valid_morphism": not H.validate()}
@@ -215,15 +200,7 @@ def hat_circle_homotopy(i, n):
         and SI.faces[a_cell(k)][2] == SI.faces[b_cell((k + 1) % n)][0]
         for k in range(n))
 
-    # front/back inclusions and the lifted psi maps
-    v0, v1 = delta1.cells(0)
-    i0 = DeltaMorphism(
-        S, SI, {x: cell_name((x, v0), tuple((k, 0) for k in range(d + 1)))
-                for d, x in S.all_cells()})
-    i1 = DeltaMorphism(
-        S, SI, {x: cell_name((x, v1), tuple((k, 0) for k in range(d + 1)))
-                for d, x in S.all_cells()})
-
+    # the lifted psi maps, read through the front and back inclusions
     def lift_of_psi(idx):
         m = {f"e{k}": basepoint_name(0) for k in range(n)}
         for k in range(n):

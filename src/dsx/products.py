@@ -19,7 +19,9 @@ single faces of factors and one name lookup.  For smash products a factor
 that normalizes to the basepoint kills the simplex.
 
 Product cells record (factor names, chart points) as their sort key, so
-structural maps never need to parse cell names.
+structural maps never need to parse cell names.  `product_morphism` maps
+products and smashes alike: a cell keeps its chart and takes the factors'
+images, or goes to the basepoint when one of them does.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from itertools import product as iproduct
 from math import factorial
 from operator import sub
 
-from .delta import DeltaSet, DeltaMorphism, pushout
+from .delta import DeltaSet, DeltaMorphism, identity_morphism, pushout
 
 
 # ---------------------------------------------------------------------------
@@ -189,20 +191,24 @@ def geometric_product(K, L):
 
 
 def product_morphism(fs):
-    """Product of morphisms K1 x ... x Kr -> L1 x ... x Lr.
+    """Product of morphisms K1 (x) ... (x) Kr -> L1 (x) ... (x) Lr, or their
+    smash when the factors are based; a cell goes to the basepoint when any
+    factor's image is the basepoint.
 
     The maps are dimension-preserving, so images keep their charts and
     canonical representatives stay canonical.
     """
     if len(fs) == 1:
         return fs[0]
-    source = n_ary_product([f.source for f in fs])
-    target = n_ary_product([f.target for f in fs])
+    build = n_ary_smash if any(f.source.based for f in fs) else n_ary_product
+    source = build([f.source for f in fs])
+    target = build([f.target for f in fs])
+    maps = [f.mapping for f in fs]
     mapping = {}
     for d, s in source.all_cells():
         xs, pts = cell_data(source, s)
-        ys = tuple(fs[t].mapping[x] for t, x in enumerate(xs))
-        mapping[s] = cell_name(ys, pts)
+        ys = tuple(m[x] for m, x in zip(maps, xs))
+        mapping[s] = None if None in ys else cell_name(ys, pts)
     return DeltaMorphism(source, target, mapping)
 
 
@@ -278,7 +284,6 @@ def pushout_product_mono_check(i, j):
     """
     if not i.is_injective() or not j.is_injective():
         raise ValueError("pushout product requires monomorphisms")
-    from .delta import identity_morphism
     K, L, A, B = i.source, i.target, j.source, j.target
     Kj = product_morphism([identity_morphism(K), j])   # K x A -> K x B (mono)
     iA = product_morphism([i, identity_morphism(A)])   # K x A -> L x A
@@ -315,26 +320,12 @@ def smash(K, L):
 
 def smash_morphism(f, X):
     """f /\\ X : K /\\ X -> L /\\ X for a based morphism f : K -> L."""
-    src = smash(f.source, X)
-    dst = smash(f.target, X)
-    mapping = {}
-    for d, s in src.all_cells():
-        (x, y), pts = cell_data(src, s)
-        fx = f.mapping[x]
-        mapping[s] = None if fx is None else cell_name((fx, y), pts)
-    return DeltaMorphism(src, dst, mapping)
+    return product_morphism([f, identity_morphism(X)])
 
 
 def smash_morphism_left(X, f):
     """X /\\ f : X /\\ K -> X /\\ L."""
-    src = smash(X, f.source)
-    dst = smash(X, f.target)
-    mapping = {}
-    for d, s in src.all_cells():
-        (x, y), pts = cell_data(src, s)
-        fy = f.mapping[y]
-        mapping[s] = None if fy is None else cell_name((x, fy), pts)
-    return DeltaMorphism(src, dst, mapping)
+    return product_morphism([identity_morphism(X), f])
 
 
 def smash_unit_iso(szero, K):

@@ -35,6 +35,38 @@ def test_horn_index_out_of_range():
         dsx.standard("horn", 2, None)
 
 
+def _standard_by_definition(kind, n, i):
+    """Per dimension, the (key, name, faces) of each cell of
+    standard(kind, n, i) in order: image tuples in the order of
+    itertools.combinations, named by their vertices, with face j deleting
+    the j-th vertex; the boundary drops [n], the horn also d_i."""
+    def name(t):
+        return ",".join(map(str, t))
+
+    out = {}
+    for k in range(n + 1):
+        cells = [
+            (t, name(t), tuple(name(t[:j] + t[j + 1:]) for j in range(k + 1))
+             if k else ())
+            for t in combinations(range(n + 1), k + 1)
+            if kind == "simplex" or k < n - 1
+            or (k == n - 1 and (kind == "boundary" or i in t))]
+        if cells:
+            out[k] = cells
+    return out
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_standard_matches_its_definition(n):
+    for kind, idx in (("simplex", [None]), ("boundary", [None]),
+                      ("horn", range(n + 1))):
+        for i in idx:
+            K = dsx.standard(kind, n, i)
+            got = {d: [(K.sort_key(s), s, K.faces[s]) for s in K.cells(d)]
+                   for d in K.simplices}
+            assert got == _standard_by_definition(kind, n, i), (kind, i)
+
+
 def test_validate_accepts_delta2_and_empty():
     assert dsx.validate(dsx.standard("simplex", 2)) == []
     assert dsx.validate(dsx.EMPTY) == []

@@ -336,6 +336,30 @@ def test_induced_identity(moore3):
         assert dsx.integral_map_is_iso(entry)
 
 
+@pytest.mark.parametrize("make", [
+    dsx.circle, dsx.sphere2, lambda: dsx.moore_space(3)[0]],
+    ids=["circle", "sphere2", "moore3"])
+def test_unreduced_identity_of_a_based_set_is_an_iso(make):
+    # the unreduced complex of a based set has a basepoint generator in
+    # degree 0, which the identity sends to itself
+    f = dsx.identity_morphism(make())
+    assert dsx.is_homology_iso(f, reduced=False)
+    assert dsx.induced_map(f, reduced=False)[0]["matrix"] == [[1]]
+
+
+def test_unreduced_nabla_is_not_an_iso():
+    assert not dsx.is_homology_iso(dsx.nabla(3), reduced=False)
+
+
+def test_unreduced_map_into_an_unbased_set_drops_the_basepoint():
+    # a based source with no basepoint faces may map into an unbased set,
+    # which has no basepoint generator to send its own to
+    K = dsx.DeltaSet({0: ["v"]}, {}, based=True)
+    L = dsx.DeltaSet({0: ["a", "b"]}, {})
+    f = dsx.DeltaMorphism(K, L, {"v": "a"})
+    assert dsx.chain_map_matrices(f, reduced=False)[2] == {0: {(0, 0): 1}}
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_nabla_and_psi_induced_maps(p):
     nabla_h1 = dsx.induced_map(dsx.nabla(p))[1]
