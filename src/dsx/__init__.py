@@ -19,7 +19,8 @@ from .moves import (Move, ExpansionCertificate, BudgetExhausted,
                     find_collapse_sequence, cone, mapping_cylinder,
                     cylinder_inclusions)
 from .exact import smith
-from .homology import (ChainComplex, HomologyGroup, chain_complex, homology,
+from .homology import (ChainComplex, HomologyGroup, Reduction, chain_complex,
+                       reduction_of, homology,
                        homology_of, homology_table, is_acyclic,
                        homology_with_generators, induced_map,
                        integral_map_is_iso, is_homology_iso, is_quasi_iso,

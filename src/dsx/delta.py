@@ -63,9 +63,10 @@ class DeltaSet:
     face entries of vertices are empty tuples.  In a based set a face entry
     may be None, the basepoint, which is not listed among the simplices.
 
-    `_chains` caches the cellular chain complexes that
-    `homology.chain_complex` builds, one per value of `reduced`; they are
-    shared by every caller and must not be mutated.
+    `_chains` caches the Morse reductions of the cellular chain complex
+    that `homology.reduction_of` makes, one `homology.Reduction` per value
+    of `reduced`; the complex itself is consumed by its reduction and not
+    kept.  They are shared by every caller and must not be mutated.
     """
 
     __slots__ = ("simplices", "faces", "dim_of", "top_dim", "based",

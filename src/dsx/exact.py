@@ -17,7 +17,8 @@ computational backbone for every homology verdict in the package:
   equivalence, so the pivot order can change the residue but no homology
   and no verdict.  Three entry points go through it: `morse_reduce`
   shrinks a whole chain complex to a homotopy-equivalent one (over Z, or
-  over Z/p^2 for the Bockstein) and returns its pivot record, which
+  over Z/p^2 for the Bockstein), consuming the boundary mapping it is
+  handed, and returns its pivot record, which
   `morse_carry` replays to carry a chain map into the residue,
   `sparse_rank_and_factors` hands the unit-free residue of one matrix to
   dense Smith for its invariant factors, and `sparse_rank_mod_p` gives
@@ -553,10 +554,16 @@ def morse_reduce(ranks, boundaries, q=None):
     cancellation is a chain homotopy equivalence over Z (so homology with
     every coefficient ring is preserved), or over Z/q.  `pivots` is the
     record of `_cancel_units`, which `morse_carry` replays.
+
+    The elimination consumes `boundaries`: each degree is popped from it,
+    in its order, as that degree's SparseMat is built, so a COO dict that
+    nobody else holds is freed before the next degree is built, and the
+    mapping is left empty.  The inner dicts are never changed.  A caller
+    that keeps its complex passes a copy of the outer mapping, dict(C.d).
     """
     mats = {k: SparseMat.from_entries(ranks.get(k - 1, 0), ranks.get(k, 0),
-                                      coo)
-            for k, coo in boundaries.items()}
+                                      boundaries.pop(k))
+            for k in list(boundaries)}
     if q is not None:
         for m in mats.values():
             m.reduce_mod(q)

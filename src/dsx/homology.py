@@ -8,8 +8,19 @@ Homology takes one route for every coefficient ring: the complex is
 Morse-reduced once over Z (exact.morse_reduce, a chain homotopy
 equivalence, so homology with every coefficient ring is unchanged), and
 each residue boundary then goes to exact.sparse_rank_and_factors (Z, Q) or
-exact.sparse_rank_mod_p (F_p).  A complex computes its residue once and
-caches it, with the reduction's pivot record.
+exact.sparse_rank_mod_p (F_p).  A reduction is one `Reduction` record: the
+full complex's degree range and ranks, the checked residue, the pivot
+record, and `carry`, which gives pi o F for a chain map F into the complex.
+
+Who owns the boundary data: exact.morse_reduce consumes the boundary
+mapping it is handed, popping each degree as it is read.  A ChainComplex
+that keeps its boundaries hands it a copy of the outer mapping, and
+caches its Reduction (`ChainComplex.reduction`); its `d` stays intact.  A
+Delta-set caches its Reduction, not its complex (`reduction_of`): the
+complex is built and checked, then consumed by its reduction, so its
+boundary entries are never alive twice.  `chain_complex` builds a fresh
+complex on every call.  A mapping cone built only to be reduced is
+consumed the same way.
 
 Isomorphism verdicts for chain maps go through acyclicity of the mapping
 cone, which needs ranks and invariant factors only.  The cone of
@@ -79,7 +90,7 @@ class ChainComplex:
     without copying them, so they must not be changed afterwards.
     """
 
-    __slots__ = ("lo", "hi", "ranks", "d", "_morse")
+    __slots__ = ("lo", "hi", "ranks", "d", "_reduction")
 
     def __init__(self, lo, hi, ranks, d, check=True):
         self.lo = lo
@@ -93,7 +104,7 @@ class ChainComplex:
                     raise ValueError(f"boundary in degree {k} has no room")
                 coo = {}
             self.d[k] = coo
-        self._morse = None  # (residue, pivot record), once computed
+        self._reduction = None  # the Reduction, once computed
         if check:
             bad = self.verify()
             if bad:
@@ -138,30 +149,53 @@ class ChainComplex:
     def total_rank(self):
         return sum(self.ranks.values())
 
+    def reduction(self):
+        """The Reduction of this complex, computed once and cached.  The
+        elimination gets a copy of the outer mapping d, so d is intact."""
+        if self._reduction is None:
+            self._reduction = Reduction(self, dict(self.d))
+        return self._reduction
+
     def morse_reduced(self):
         """A homotopy-equivalent complex with unit boundary entries
-        cancelled (same homology for every coefficient ring), computed
-        once and cached with its pivot record.  The residue checks itself:
-        d o d = 0, and the Euler characteristic is kept."""
-        if self._morse is None:
-            ranks, bnd, pivots = exact.morse_reduce(self.ranks, self.d)
-            W = ChainComplex(self.lo, self.hi, ranks, bnd)
-            if W.euler_characteristic() != self.euler_characteristic():
-                raise ValueError("Morse reduction changed the Euler "
-                                 "characteristic")
-            self._morse = (W, pivots)
-        return self._morse[0]
-
-    def to_residue(self, maps):
-        """pi o F for a chain map F into this complex, given by per-degree
-        COO dicts maps[m] : X_m -> C_m: a chain map into morse_reduced(),
-        pi being the reduction's chain projection (exact.morse_carry)."""
-        self.morse_reduced()
-        return exact.morse_carry(self.ranks, self._morse[1], maps)
+        cancelled (same homology for every coefficient ring): the residue
+        of `reduction()`, which checks itself."""
+        return self.reduction().residue
 
     def __repr__(self):
         rk = [self.ranks.get(k, 0) for k in range(self.lo, self.hi + 1)]
         return f"ChainComplex({self.lo}..{self.hi}, ranks={rk})"
+
+
+class Reduction:
+    """The Morse reduction of a chain complex C (exact.morse_reduce).
+
+    lo, hi and ranks are C's; `residue` is the homotopy-equivalent complex
+    left once the unit entries are cancelled, checked on construction (d o
+    d = 0, and C's Euler characteristic is kept); `pivots` is the record
+    (k, row, col, column) of the cancellations, which `carry` replays.
+    """
+
+    __slots__ = ("lo", "hi", "ranks", "residue", "pivots")
+
+    def __init__(self, C, boundaries):
+        """Reduce C, whose boundary mapping `boundaries` the elimination
+        consumes: C.d itself when C is no longer needed, else a copy."""
+        ranks, bnd, pivots = exact.morse_reduce(C.ranks, boundaries)
+        residue = ChainComplex(C.lo, C.hi, ranks, bnd)
+        if residue.euler_characteristic() != C.euler_characteristic():
+            raise ValueError("Morse reduction changed the Euler "
+                             "characteristic")
+        self.lo, self.hi, self.ranks = C.lo, C.hi, C.ranks
+        self.residue = residue
+        self.pivots = pivots
+
+    def carry(self, maps):
+        """pi o F for a chain map F into the reduced complex, given by
+        per-degree COO dicts maps[m] : X_m -> C_m: a chain map into the
+        residue, pi being the reduction's chain projection
+        (exact.morse_carry)."""
+        return exact.morse_carry(self.ranks, self.pivots, maps)
 
 
 def complex_from_matrices(lo, hi, ranks, mats, check=True):
@@ -181,16 +215,25 @@ def chain_complex(K, reduced=False):
     generator in degree 0 (the unreduced homology of the reduced
     realization).
 
-    The complex is built and checked (d o d = 0) once per Delta-set and
-    value of `reduced`, then cached on K: every later call returns the same
-    object, so callers share it and must not mutate it.
+    The complex is built and checked (d o d = 0) afresh on every call;
+    what a Delta-set caches is its Reduction (`reduction_of`).
     """
     if not isinstance(K, DeltaSet):
         raise TypeError("expected a DeltaSet")
+    return _build_chain_complex(K, bool(reduced))
+
+
+def reduction_of(K, reduced=False):
+    """The Reduction of K's chain complex (`reduced` as for
+    chain_complex), built once per Delta-set and value of `reduced` and
+    cached on K.  The complex is built through chain_complex, so it is
+    checked, and the reduction consumes it: only the Reduction is kept."""
     reduced = bool(reduced)
-    cached = K._chains.get(reduced)
+    # chain_complex refuses what is not a DeltaSet
+    cached = K._chains.get(reduced) if isinstance(K, DeltaSet) else None
     if cached is None:
-        cached = K._chains[reduced] = _build_chain_complex(K, reduced)
+        C = chain_complex(K, reduced)
+        cached = K._chains[reduced] = Reduction(C, C.d)
     return cached
 
 
@@ -255,7 +298,8 @@ class HomologyGroup:
 
 
 def homology(C, coeff="Z", p=None):
-    """Per-degree homology of a ChainComplex.
+    """Per-degree homology of a ChainComplex, or of the complex that a
+    Reduction was made from.
 
     coeff is "Z", "Q" or "F" (with p prime).  Integral homology reports
     free rank and the divisibility-ordered torsion coefficients; field
@@ -267,7 +311,7 @@ def homology(C, coeff="Z", p=None):
             raise ValueError(f"field coefficient needs a prime, got {p!r}")
     elif coeff not in ("Z", "Q"):
         raise ValueError(f"unknown coefficients {coeff!r}")
-    W = C.morse_reduced()
+    W = C.residue if isinstance(C, Reduction) else C.morse_reduced()
     ranks = {}
     factors = {}
     for k in range(W.lo, W.hi + 2):
@@ -303,7 +347,7 @@ def homology_of(K, coeff="Z", p=None, reduced=None):
     for based inputs and False otherwise."""
     if reduced is None:
         reduced = K.based
-    return homology(chain_complex(K, reduced=reduced), coeff=coeff, p=p)
+    return homology(reduction_of(K, reduced), coeff=coeff, p=p)
 
 
 def homology_table(groups, lo=None, hi=None):
@@ -323,12 +367,19 @@ def is_acyclic(C, coeff="Z", p=None):
 # ---------------------------------------------------------------------------
 
 def chain_map_matrices(f, reduced=None):
-    """Per-degree COO matrices (target x source) of the chain map induced
-    by a (based) Delta-morphism; basepoint images contribute zero."""
+    """(CS, CT, mats): the chain complexes of f's source and target and the
+    per-degree COO matrices (target x source) of the chain map induced by
+    the (based) Delta-morphism f; basepoint images contribute zero."""
     if reduced is None:
         reduced = f.source.based
     CS = chain_complex(f.source, reduced=reduced)
     CT = chain_complex(f.target, reduced=reduced)
+    return CS, CT, _map_matrices(f, reduced, CS, CT)
+
+
+def _map_matrices(f, reduced, CS, CT):
+    """The COO matrices of f's chain map, sized from the degree ranges
+    and ranks of CS and CT, complexes or Reductions."""
     mats = {}
     for k in range(max(CS.lo, CT.lo), min(CS.hi, CT.hi) + 1):
         if k == -1:  # augmentation degree: identity
@@ -342,9 +393,9 @@ def chain_map_matrices(f, reduced=None):
                 continue
             coo[(tindex[t], c)] = 1
         if k == 0 and f.source.based and f.target.based and not reduced:
-            coo[(CT.rank(0) - 1, CS.rank(0) - 1)] = 1  # basepoint generators
+            coo[(CT.ranks[0] - 1, CS.ranks[0] - 1)] = 1  # basepoint generators
         mats[k] = coo
-    return CS, CT, mats
+    return mats
 
 
 def mapping_cone_complex(CS, CT, mats):
@@ -375,15 +426,27 @@ def is_quasi_iso(CS, CT, mats, coeff="Z", p=None):
     mats[k] : CS_k -> CT_k, induces an isomorphism on homology in every
     degree: whether cone(CS, R, pi o F) is acyclic, R being CT's Morse
     residue and pi its chain projection (see the module docstring)."""
-    cone = mapping_cone_complex(CS, CT.morse_reduced(), CT.to_residue(mats))
-    return is_acyclic(cone, coeff=coeff, p=p)
+    return _cone_is_acyclic(CS, CT.reduction(), mats, coeff, p)
+
+
+def _cone_is_acyclic(CS, R, mats, coeff, p):
+    """Whether cone(CS, R.residue, R.carry(mats)) is acyclic; the cone is
+    built only to be reduced, so its reduction consumes it."""
+    cone = mapping_cone_complex(CS, R.residue, R.carry(mats))
+    return is_acyclic(Reduction(cone, cone.d), coeff=coeff, p=p)
 
 
 def is_homology_iso(f, coeff="Z", p=None, reduced=None):
     """Whether a (based) Delta-morphism induces an isomorphism on homology
-    in every degree, decided by acyclicity of its mapping cone."""
-    return is_quasi_iso(*chain_map_matrices(f, reduced=reduced),
-                        coeff=coeff, p=p)
+    in every degree, decided by acyclicity of its mapping cone.  The
+    target enters through its cached Reduction (`reduction_of`), so its
+    full complex is built at most once, and only to be reduced."""
+    if reduced is None:
+        reduced = f.source.based
+    R = reduction_of(f.target, reduced)
+    CS = chain_complex(f.source, reduced)
+    return _cone_is_acyclic(CS, R, _map_matrices(f, reduced, CS, R),
+                            coeff, p)
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +630,7 @@ def bockstein(K, p, k):
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    C = chain_complex(K, reduced=True)
+    C = chain_complex(K, reduced=True)  # a fresh complex: consumed here
     ranks, bnd, _ = exact.morse_reduce(C.ranks, C.d, q=p * p)
     if any(v % p for coo in bnd.values() for v in coo.values()):
         raise ValueError(f"a residue entry over Z/{p * p} is not divisible "

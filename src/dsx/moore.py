@@ -334,6 +334,8 @@ def symmetric_power_of(X, i):
                 faces[name] = tuple(map(orbit_map.get, W.faces[s]))
     _least_factors.cache_clear()  # else it outlives W: 6,400 tuples at p=5
     P = DeltaSet(simplices, faces, sort_keys=keys, based=True)
+    # P holds its own copies: drop these before the orbit map is copied
+    del names, simplices, faces, keys
     return P, DeltaMorphism(W, P, orbit_map), W
 
 

@@ -9,7 +9,9 @@ Reduced over Z/p^2, a matrix leaves a residue p*B with B's mod-p rank the
 number of invariant factors of p-adic valuation one.  Whole complexes of
 random 2-dimensional Delta-sets and their cones, where the free-face and
 coreduction queue cancels across degrees, must have the homology that
-dense reduction gives with no Morse step at all.  The d o d check of a chain complex, run on Delta-set
+dense reduction gives with no Morse step at all; reducing them while
+consuming their boundaries must give the residue and pivot record that
+reducing a copy gives.  The d o d check of a chain complex, run on Delta-set
 complexes with entries planted in two degrees, must report exactly the
 degrees where the dense product d_{k-1} d_k is nonzero.  A chain map's
 verdict, decided on its target's Morse residue with the map carried
@@ -161,6 +163,24 @@ def test_homology_of_random_complexes_and_cones_matches_dense(
     assert sum(ranks.values()) == 0
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(3, 7), st.integers(0, 8),
+       st.integers(0, 5), st.booleans())
+def test_consuming_the_complex_keeps_the_pivot_order(
+        seed, n_vertices, n_edges, n_triangles, reduced):
+    # reduction_of consumes the complex it builds; chain_complex(X)'s
+    # reduction works on a copy of its boundary mapping and keeps it
+    K = random_two_dim_delta(random.Random(seed), n_vertices, n_edges,
+                             n_triangles)
+    CK, _, _ = dsx.cone(K)
+    for X in (K, CK):
+        kept = dsx.chain_complex(X, reduced).reduction()
+        consumed = dsx.reduction_of(X, reduced)
+        assert consumed.residue.ranks == kept.residue.ranks
+        assert consumed.residue.d == kept.residue.d
+        assert consumed.pivots == kept.pivots
+
+
 @st.composite
 def three_dim_sets(draw):
     n = draw(st.integers(4, 6))
@@ -177,7 +197,7 @@ def three_dim_sets(draw):
 def test_d_squared_check_matches_dense_products(K, data):
     C = dsx.chain_complex(K, reduced=True)
     assert C.verify() == []
-    d = {k: dict(coo) for k, coo in C.d.items()}  # C itself is shared
+    d = {k: dict(coo) for k, coo in C.d.items()}  # C itself is kept
     # adding v at (r, c) of d_k, where column r of d_{k-1} is nonzero,
     # makes column c of d_{k-1} d_k nonzero
     planted = data.draw(st.lists(st.sampled_from((1, 2, 3)), min_size=2,

@@ -59,13 +59,47 @@ def test_moore_reduced_homology(moore3):
     assert C.euler_characteristic() == 0
 
 
-def test_chain_complex_is_built_once_per_delta_set(corpus):
+def test_reduction_is_built_once_per_delta_set(corpus, monkeypatch):
+    # a Delta-set caches the reduction of its complex, one per value of
+    # `reduced`, and builds no complex for it again; chain_complex itself
+    # builds a fresh complex on every call
+    from importlib import import_module
+    hom = import_module("dsx.homology")
+    built = []
+    build = hom._build_chain_complex
+
+    def counting_build(K, reduced):
+        built.append((K, reduced))
+        return build(K, reduced)
+
+    monkeypatch.setattr(hom, "_build_chain_complex", counting_build)
     for K in (corpus["RP2"], dsx.circle(), dsx.EMPTY):
         for reduced in (False, True):
-            assert dsx.chain_complex(K, reduced) is \
-                dsx.chain_complex(K, reduced=reduced)
-        assert dsx.chain_complex(K) is not \
-            dsx.chain_complex(K, reduced=True)
+            R = dsx.reduction_of(K, reduced)
+            built.clear()
+            assert dsx.reduction_of(K, reduced=reduced) is R
+            assert dsx.homology_of(K, reduced=reduced)
+            assert built == []
+        assert dsx.reduction_of(K) is not dsx.reduction_of(K, reduced=True)
+        assert dsx.chain_complex(K) is not dsx.chain_complex(K)
+
+
+def test_morse_reduced_leaves_the_complex_intact(corpus):
+    C = dsx.chain_complex(corpus["RP2"])
+    before = {k: dict(coo) for k, coo in C.d.items()}
+    C.morse_reduced()
+    assert C.d == before
+
+
+def test_morse_reduce_consumes_the_mapping_it_is_handed(corpus):
+    # the outer mapping is emptied; the COO dicts popped from it are not
+    # changed
+    C = dsx.chain_complex(corpus["torus"])
+    popped = dict(C.d)
+    before = {k: dict(coo) for k, coo in C.d.items()}
+    exact.morse_reduce(C.ranks, C.d)
+    assert C.d == {}
+    assert popped == before
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +205,10 @@ def test_morse_reduce_never_pivots_on_a_non_unit():
     ranks = {0: 2, 1: 2, 2: 2}
     bnd = {1: {(0, 0): -1, (1, 0): 1}, 2: {(1, 0): 2, (1, 1): 2}}
     for q in (None, 4):
-        got_ranks, got, _ = exact.morse_reduce(ranks, bnd, q=q)
+        got_ranks, got, _ = exact.morse_reduce(ranks, dict(bnd), q=q)
         assert got_ranks == {0: 1, 1: 1, 2: 2}, q
         assert sorted(got[2].values()) == [2, 2] and got[1] == {}, q
-    got_ranks, got, _ = exact.morse_reduce(ranks, bnd, q=9)
+    got_ranks, got, _ = exact.morse_reduce(ranks, dict(bnd), q=9)
     assert got_ranks == {0: 1, 1: 0, 2: 1}
     assert got == {1: {}, 2: {}}
 

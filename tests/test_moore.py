@@ -337,8 +337,11 @@ def test_free_module_report_circle(moore3_p2):
 
 
 def test_moore_cli_builds_the_square_complex_once(monkeypatch):
-    # P^2's complex, and its Morse reduction, serve both its certification
-    # and the coherence cone
+    # P^2's complex is built once, and its Morse reduction serves both its
+    # certification and the coherence cone.  The reduction consumes the
+    # complex: its boundary mapping is empty once the reduction exists,
+    # P^2 caches Reductions only, and the coherence verdict builds no
+    # complex of its target
     import io as _io
     from importlib import import_module
     from dsx.cli import run
@@ -346,9 +349,10 @@ def test_moore_cli_builds_the_square_complex_once(monkeypatch):
     built = []
     build = hom._build_chain_complex
 
-    def counting_build(K, reduced):
-        built.append((K, reduced))
-        return build(K, reduced)
+    def recording_build(K, reduced):
+        C = build(K, reduced)
+        built.append((K, reduced, C))
+        return C
 
     reduced_ranks = []
     morse_reduce = exact.morse_reduce
@@ -356,6 +360,15 @@ def test_moore_cli_builds_the_square_complex_once(monkeypatch):
     def recording_reduce(ranks, boundaries, q=None):
         reduced_ranks.append(ranks)
         return morse_reduce(ranks, boundaries, q)
+
+    verdicts = []
+    iso = moore.is_homology_iso
+
+    def recording_iso(f, *args, **kw):
+        start = len(built)
+        out = iso(f, *args, **kw)
+        verdicts.append((f.target, [K for K, _, _ in built[start:]]))
+        return out
 
     powers = []
     power = moore.symmetric_power_of
@@ -365,20 +378,29 @@ def test_moore_cli_builds_the_square_complex_once(monkeypatch):
         powers.append(out[0])
         return out
 
-    monkeypatch.setattr(hom, "_build_chain_complex", counting_build)
+    monkeypatch.setattr(hom, "_build_chain_complex", recording_build)
     monkeypatch.setattr(moore, "symmetric_power_of", recording_power)
+    monkeypatch.setattr(moore, "is_homology_iso", recording_iso)
     monkeypatch.setattr(exact, "morse_reduce", recording_reduce)
     status, _ = run(["moore", "--p", "3", "--power", "2",
                      "--coherence", "2"], stream=_io.StringIO())
     assert status == 0
     [P2] = powers
-    assert [r for K, r in built if K is P2] == [True]
-    assert len({(id(K), r) for K, r in built}) == len(built)
+    assert [r for K, r, _ in built if K is P2] == [True]
+    assert len({(id(K), r) for K, r, _ in built}) == len(built)
+    [C] = [C for K, _, C in built if K is P2]
+    assert C.d == {}
+    assert P2._chains
+    assert all(isinstance(R, hom.Reduction) for R in P2._chains.values())
+    [(target, complexes)] = verdicts
+    assert target is P2
+    assert not any(K is target for K in complexes)
     # one reduction of P^2's complex, and none of a larger one
-    C = hom.chain_complex(P2, reduced=True)
-    assert [ranks for ranks in reduced_ranks if ranks is C.ranks] == \
-        [C.ranks]
-    assert max(map(sum, map(dict.values, reduced_ranks))) == C.total_rank()
+    R = hom.reduction_of(P2, reduced=True)
+    assert [ranks for ranks in reduced_ranks if ranks is R.ranks] == \
+        [R.ranks]
+    assert max(map(sum, map(dict.values, reduced_ranks))) == \
+        sum(R.ranks.values())
 
 
 def test_moore_cli_frees_the_smash_square(monkeypatch):
