@@ -9,7 +9,6 @@ produce byte-identical reports except for the isolated "timings" section.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -148,6 +147,9 @@ def _check(report, name, passed, **details):
 
 
 def _digest(data):
+    # imported here: hashlib loads OpenSSL, 3.6 MB resident, and only the
+    # certificate commands need it
+    import hashlib
     blob = json.dumps(data, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 

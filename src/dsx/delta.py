@@ -14,7 +14,8 @@ simplex to the basepoint (None) only when its target is based.
 
 Objects are immutable after construction; every operation returns new
 values.  Constructors check referential integrity (faces exist and have the
-right dimension, identifiers are unique) and raise ValueError on garbage;
+right dimension, identifiers are unique, only simplices have face entries)
+and raise ValueError on garbage;
 `validate` reports semisimplicial-identity violations as diagnostics without
 raising, so deliberately broken face tables can be built and inspected.
 """
@@ -63,6 +64,9 @@ class DeltaSet:
     face entries of vertices are empty tuples.  In a based set a face entry
     may be None, the basepoint, which is not listed among the simplices.
 
+    The set adopts the `faces` and `sort_keys` dicts it is given without
+    copying them, so they must not be changed afterwards.
+
     `_chains` caches the Morse reductions of the cellular chain complex
     that `homology.reduction_of` makes, one `homology.Reduction` per value
     of `reduced`; the complex itself is consumed by its reduction and not
@@ -80,9 +84,10 @@ class DeltaSet:
         each dimension's simplices are listed by `sorted_cells` in the
         safe_key order of these keys (of (name,) for an unkeyed name), so
         that repeated runs are bit-identical.  Code that needs cell order
-        reads it from these lists.
+        reads it from these lists.  `faces` is completed in place: a
+        vertex's entry becomes (), a list of faces a tuple.
         """
-        keyed = dict(sort_keys) if sort_keys else {}
+        keyed = {} if sort_keys is None else sort_keys
         self._sort_keys = keyed
         self._chains = {}
         self.based = based
@@ -98,9 +103,8 @@ class DeltaSet:
                     raise ValueError(f"duplicate simplex identifier {s!r}")
                 self.dim_of[s] = d
         self.top_dim = max(self.simplices) if self.simplices else -1
-        self.faces = {}
         for s, d in self.dim_of.items():
-            fs = tuple(faces.get(s, ()))
+            fs = faces.get(s, ())
             if d > 0 and len(fs) != d + 1:
                 raise ValueError(f"simplex {s!r} of dim {d} has {len(fs)} faces")
             for f in fs:
@@ -108,7 +112,15 @@ class DeltaSet:
                                                     not based):
                     raise ValueError(
                         f"face {f!r} of {s!r} is not a simplex of dim {d - 1}")
-            self.faces[s] = fs if d > 0 else ()
+            if not d:
+                faces[s] = ()
+            elif type(fs) is not tuple:
+                faces[s] = tuple(fs)
+        if len(faces) != len(self.dim_of):
+            stray = [s for s in faces if s not in self.dim_of]
+            raise ValueError(f"face entries for undeclared simplices "
+                             f"{stray[:3]}")
+        self.faces = faces
 
     # -- basic queries ----------------------------------------------------
 
@@ -317,14 +329,17 @@ def skeleton(K, m):
 
 class DeltaMorphism:
     """Dimension-preserving simplex map commuting with all faces; into a
-    based target a simplex may go to the basepoint (None)."""
+    based target a simplex may go to the basepoint (None).
+
+    The morphism adopts the `mapping` dict it is given without copying it,
+    so it must not be changed afterwards."""
 
     __slots__ = ("source", "target", "mapping")
 
     def __init__(self, source, target, mapping, check=True):
         self.source = source
         self.target = target
-        self.mapping = dict(mapping)
+        self.mapping = mapping
         if check:
             problems = self.validate()
             if problems:

@@ -18,7 +18,8 @@ computational backbone for every homology verdict in the package:
   and no verdict.  Three entry points go through it: `morse_reduce`
   shrinks a whole chain complex to a homotopy-equivalent one (over Z, or
   over Z/p^2 for the Bockstein), consuming the boundary mapping it is
-  handed, and returns its pivot record, which
+  handed once it has checked d o d = 0 on it, and returns its pivot
+  record, which
   `morse_carry` replays to carry a chain map into the residue,
   `sparse_rank_and_factors` hands the unit-free residue of one matrix to
   dense Smith for its invariant factors, and `sparse_rank_mod_p` gives
@@ -544,6 +545,21 @@ def sparse_rank_mod_p(M, p):
     return len(_cancel_units({1: M}, p))
 
 
+def composite_vanishes(cols, below):
+    """Whether d_{k-1} o d_k = 0, given the columns {col: {row: value}} of
+    d_k (`cols`) and of d_{k-1} (`below`).  Column c of the composite is
+    summed in a small accumulator of its own, and the test stops at its
+    first nonzero column."""
+    for col in cols.values():
+        acc = {}
+        for r, v in col.items():
+            for r2, v2 in below.get(r, {}).items():
+                acc[r2] = acc.get(r2, 0) + v * v2
+        if any(acc.values()):
+            return False
+    return True
+
+
 def morse_reduce(ranks, boundaries, q=None):
     """Cancel the unit entries of the boundary matrices of a complex over
     Z, or over Z/q when q is given (entries are reduced mod q first).
@@ -560,10 +576,20 @@ def morse_reduce(ranks, boundaries, q=None):
     nobody else holds is freed before the next degree is built, and the
     mapping is left empty.  The inner dicts are never changed.  A caller
     that keeps its complex passes a copy of the outer mapping, dict(C.d).
+
+    It checks its input: d o d = 0 over Z is tested on the SparseMat
+    columns (`composite_vanishes`) before the first pivot and before any
+    reduction mod q, and a ValueError names the degrees where it fails.
+    So a complex built only to be reduced need not be checked before.
     """
     mats = {k: SparseMat.from_entries(ranks.get(k - 1, 0), ranks.get(k, 0),
                                       boundaries.pop(k))
             for k in list(boundaries)}
+    bad = [k for k, m in mats.items()
+           if k - 1 in mats and not composite_vanishes(m.cols,
+                                                       mats[k - 1].cols)]
+    if bad:
+        raise ValueError(f"d o d != 0 in degrees {bad}")
     if q is not None:
         for m in mats.values():
             m.reduce_mod(q)

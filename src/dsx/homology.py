@@ -17,10 +17,18 @@ mapping it is handed, popping each degree as it is read.  A ChainComplex
 that keeps its boundaries hands it a copy of the outer mapping, and
 caches its Reduction (`ChainComplex.reduction`); its `d` stays intact.  A
 Delta-set caches its Reduction, not its complex (`reduction_of`): the
-complex is built and checked, then consumed by its reduction, so its
-boundary entries are never alive twice.  `chain_complex` builds a fresh
-complex on every call.  A mapping cone built only to be reduced is
-consumed the same way.
+complex is consumed by its reduction, so its boundary entries are never
+alive twice.  `chain_complex` builds a fresh complex on every call.  A
+mapping cone built only to be reduced is consumed the same way.
+
+Where d o d = 0 is checked: exact.morse_reduce checks every complex it
+reduces, on the SparseMat columns it builds anyway, before its first
+pivot and before any reduction mod q.  So a Delta-set's complex that is
+built only to be reduced (`reduction_of`, `bockstein`) is built
+unchecked, and its reduction checks it.  `chain_complex`'s complexes,
+residues and every other ChainComplex built with check=True (the
+default) are checked on construction by `ChainComplex.verify`.  Both
+checks share one kernel, `exact.composite_vanishes`.
 
 Isomorphism verdicts for chain maps go through acyclicity of the mapping
 cone, which needs ranks and invariant factors only.  The cone of
@@ -106,9 +114,14 @@ class ChainComplex:
             self.d[k] = coo
         self._reduction = None  # the Reduction, once computed
         if check:
-            bad = self.verify()
-            if bad:
-                raise ValueError(f"d o d != 0 in degrees {bad}")
+            self._check()
+
+    def _check(self):
+        """Raise ValueError unless d o d = 0; returns the complex."""
+        bad = self.verify()
+        if bad:
+            raise ValueError(f"d o d != 0 in degrees {bad}")
+        return self
 
     def rank(self, k):
         return self.ranks.get(k, 0)
@@ -116,23 +129,17 @@ class ChainComplex:
     def verify(self):
         """Degrees k where d_{k-1} o d_k != 0 (empty for a valid complex).
 
-        Each d_k is grouped by column once; column c of d_{k-1} o d_k is
-        summed in a small accumulator of its own, and a degree stops at its
-        first nonzero column."""
+        Each d_k is grouped by column once, into {col: {row: value}}, and
+        tested against d_{k-1} by `exact.composite_vanishes`, the test that
+        exact.morse_reduce runs on its SparseMat columns."""
         bad = []
-        below = {}  # d_{k-1} by column: c -> [(row, value)]
+        below = {}  # d_{k-1} by column
         for k in range(self.lo, self.hi + 1):
             cols = {}
             for (r, c), v in self.d.get(k, {}).items():
-                cols.setdefault(c, []).append((r, v))
-            for entries in cols.values():
-                acc = {}
-                for r, v in entries:
-                    for r2, v2 in below.get(r, ()):
-                        acc[r2] = acc.get(r2, 0) + v * v2
-                if any(acc.values()):
-                    bad.append(k)
-                    break
+                cols.setdefault(c, {})[r] = v
+            if not exact.composite_vanishes(cols, below):
+                bad.append(k)
             below = cols
         return bad
 
@@ -180,7 +187,8 @@ class Reduction:
 
     def __init__(self, C, boundaries):
         """Reduce C, whose boundary mapping `boundaries` the elimination
-        consumes: C.d itself when C is no longer needed, else a copy."""
+        consumes: C.d itself when C is no longer needed, else a copy.  The
+        elimination checks d o d = 0 on it first (a ValueError)."""
         ranks, bnd, pivots = exact.morse_reduce(C.ranks, boundaries)
         residue = ChainComplex(C.lo, C.hi, ranks, bnd)
         if residue.euler_characteristic() != C.euler_characteristic():
@@ -218,26 +226,28 @@ def chain_complex(K, reduced=False):
     The complex is built and checked (d o d = 0) afresh on every call;
     what a Delta-set caches is its Reduction (`reduction_of`).
     """
-    if not isinstance(K, DeltaSet):
-        raise TypeError("expected a DeltaSet")
-    return _build_chain_complex(K, bool(reduced))
+    return _build_chain_complex(K, bool(reduced))._check()
 
 
 def reduction_of(K, reduced=False):
     """The Reduction of K's chain complex (`reduced` as for
     chain_complex), built once per Delta-set and value of `reduced` and
-    cached on K.  The complex is built through chain_complex, so it is
-    checked, and the reduction consumes it: only the Reduction is kept."""
+    cached on K.  The complex is built only to be reduced, so it is built
+    unchecked: the reduction checks it (d o d = 0) and consumes it, and
+    only the Reduction is kept."""
     reduced = bool(reduced)
-    # chain_complex refuses what is not a DeltaSet
+    # _build_chain_complex refuses what is not a DeltaSet
     cached = K._chains.get(reduced) if isinstance(K, DeltaSet) else None
     if cached is None:
-        C = chain_complex(K, reduced)
+        C = _build_chain_complex(K, reduced)
         cached = K._chains[reduced] = Reduction(C, C.d)
     return cached
 
 
 def _build_chain_complex(K, reduced):
+    """K's cellular chain complex, unchecked (see chain_complex)."""
+    if not isinstance(K, DeltaSet):
+        raise TypeError("expected a DeltaSet")
     based = K.based
     top = K.top_dim
     index = {}
@@ -267,7 +277,7 @@ def _build_chain_complex(K, reduced):
     if based and not reduced:
         ranks[0] = ranks.get(0, 0) + 1  # disjoint basepoint component
     hi = max(top, 0)
-    return ChainComplex(lo, hi, ranks, d)
+    return ChainComplex(lo, hi, ranks, d, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +640,7 @@ def bockstein(K, p, k):
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    C = chain_complex(K, reduced=True)  # a fresh complex: consumed here
+    C = _build_chain_complex(K, True)  # checked and consumed by the reduction
     ranks, bnd, _ = exact.morse_reduce(C.ranks, C.d, q=p * p)
     if any(v % p for coo in bnd.values() for v in coo.values()):
         raise ValueError(f"a residue entry over Z/{p * p} is not divisible "

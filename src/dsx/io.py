@@ -125,15 +125,15 @@ def delta_from_dict(data):
         if not based and BASEPOINT in fs:
             raise SchemaError("'*' face entry in an unbased file")
         faces[s] = tuple(map(names.get, fs, fs))
+    undeclared = [s for s in faces if names.get(s) is None]  # "*" too
+    if undeclared:
+        raise SchemaError(f"faces given for undeclared simplices "
+                          f"{undeclared[:3]}")
     try:
         K = DeltaSet(simplices, faces, based=based)
         report = validate(K)
     except ValueError as exc:
         raise SchemaError(f"invalid Delta-set: {exc}") from None
-    undeclared = [s for s in faces if s not in K.dim_of]
-    if undeclared:
-        raise SchemaError(f"faces given for undeclared simplices "
-                          f"{undeclared[:3]}")
     dims = data.get("dims", K.top_dim)
     if type(dims) is not int or dims != K.top_dim:
         raise SchemaError(f"'dims' is {dims!r} but the top dimension with "

@@ -304,6 +304,14 @@ def symmetric_power_of(X, i):
     commute with faces and raises ValueError.  W and orbit_map are returned
     for inspection only; PowerSystem keeps P alone, so that W, the largest
     object on the way, is freed once P is built.
+
+    An orbit is named "O" + the name of its least member.  W lists each
+    dimension in the order of its sort keys (factors, chart), which is the
+    order _orbit_rep minimises in, so the least member of an orbit is its
+    first member in one pass over W: that member names the orbit, and
+    every later member takes the name the orbit map already gives its
+    representative.  If the representative was not met first, the pass
+    raises ValueError rather than misname a cell.
     """
     if i < 1:
         raise ValueError("power index must be >= 1")
@@ -311,11 +319,8 @@ def symmetric_power_of(X, i):
         return X, identity_morphism(X), X
     W = n_ary_smash([X] * i)
     # One pass over W in its order, dimension ascending, so a cell's faces
-    # have their orbits named before the cell.  Each orbit is named once,
-    # orbit_cell_name(rep) at its first member; that is "O" + the name of
-    # its least member (the member that is its own representative), which
-    # gives the orbit its dimension, sort key and projected faces.
-    names = {}  # orbit representative -> orbit name
+    # have their orbits named before the cell; an orbit's least member
+    # also gives it its dimension, sort key and projected faces.
     orbit_map = {}
     simplices = {}
     faces = {}
@@ -323,19 +328,21 @@ def symmetric_power_of(X, i):
     for d, s in W.all_cells():
         key = cell_data(W, s)
         rep = _orbit_rep(key)
-        name = names.get(rep)
-        if name is None:
-            name = names[rep] = orbit_cell_name(rep)
-        orbit_map[s] = name
         if rep == key:
+            name = orbit_map[s] = orbit_cell_name(rep)
             simplices.setdefault(d, []).append(name)
             keys[name] = rep
             if d > 0:
                 faces[name] = tuple(map(orbit_map.get, W.faces[s]))
+            continue
+        name = orbit_map.get(cell_name(*rep))
+        if name is None:
+            raise ValueError(f"the least member {rep!r} of the orbit of "
+                             f"{s!r} does not come before it in W")
+        orbit_map[s] = name
     _least_factors.cache_clear()  # else it outlives W: 6,400 tuples at p=5
     P = DeltaSet(simplices, faces, sort_keys=keys, based=True)
-    # P holds its own copies: drop these before the orbit map is copied
-    del names, simplices, faces, keys
+    del simplices  # P lists its cells in tuples of its own
     return P, DeltaMorphism(W, P, orbit_map), W
 
 

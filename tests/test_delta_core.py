@@ -1,3 +1,4 @@
+from copy import deepcopy
 from itertools import combinations
 from math import comb
 
@@ -89,6 +90,60 @@ def test_validate_reports_swapped_faces():
     assert report, "swapped faces must be detected"
     assert {(r["i"], r["j"]) for r in report} == {(0, 2), (1, 2)}
     assert all(r["simplex"] == top for r in report)
+
+
+def test_delta_set_adopts_its_faces_and_sort_keys():
+    # the very dicts it is given: a face list becomes a tuple and a vertex
+    # gets its empty entry, in place
+    faces = {"e": ["v", "w"]}
+    keys = {"v": (1,), "w": (0,), "e": (0,)}
+    K = DeltaSet({0: ["v", "w"], 1: ["e"]}, faces, sort_keys=keys)
+    assert K.faces is faces and K._sort_keys is keys
+    assert faces == {"e": ("v", "w"), "v": (), "w": ()}
+    assert K.cells(0) == ("w", "v")
+    # a face entry for a name that is no simplex is refused
+    with pytest.raises(ValueError, match="undeclared"):
+        DeltaSet({0: ["v"]}, {"v": (), "x": ("v", "v")})
+    with pytest.raises(ValueError, match="undeclared"):
+        DeltaSet({1: ["z"]}, {"z": (None, None), None: ()}, based=True)
+
+
+def test_delta_morphism_adopts_its_mapping():
+    K = dsx.standard("boundary", 2)
+    mapping = {s: s for s in K.dim_of}
+    assert DeltaMorphism(K, K, mapping).mapping is mapping
+    assert DeltaMorphism(K, K, mapping, check=False).mapping is mapping
+
+
+def test_sets_built_from_deep_copies_equal_the_originals(corpus):
+    # adoption shares nothing between the two: the same cells in the same
+    # order with the same sort keys and faces
+    for name, K in corpus.items():
+        simplices = {d: list(cells) for d, cells in K.simplices.items()}
+        faces = {s: list(fs) for s, fs in K.faces.items() if fs}
+        keys = {s: K.sort_key(s) for s in K.dim_of}
+        copies = deepcopy((simplices, faces, keys))
+        A = DeltaSet(simplices, faces, sort_keys=keys, based=K.based)
+        B = DeltaSet(*copies[:2], sort_keys=copies[2], based=K.based)
+        assert A == B == K, name
+        assert A.simplices == B.simplices == K.simplices, name
+        assert all(A.sort_key(s) == B.sort_key(s) == K.sort_key(s)
+                   for s in K.dim_of), name
+        assert A.faces is not B.faces
+
+
+def test_loader_refuses_faces_of_undeclared_simplices_first():
+    # checked before the set is built, so this error is reported even
+    # where the set would be refused for another reason as well
+    from dsx.io import SchemaError, delta_from_dict
+    for data in ({"simplices": {"0": ["v"]}, "faces": {"x": ["v", "v"]}},
+                 {"simplices": {"1": ["e"]}, "faces": {"e": ["v"],
+                                                       "x": []}},
+                 {"simplices": {"1": ["z"]}, "based": True,
+                  "faces": {"z": ["*", "*"], "*": []}}):
+        with pytest.raises(SchemaError,
+                           match="faces given for undeclared simplices"):
+            delta_from_dict(data)
 
 
 def test_based_flag_is_part_of_the_set():

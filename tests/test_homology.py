@@ -84,6 +84,54 @@ def test_reduction_is_built_once_per_delta_set(corpus, monkeypatch):
         assert dsx.chain_complex(K) is not dsx.chain_complex(K)
 
 
+def _broken_triangle():
+    # the 2-simplex with faces d_0 and d_1 swapped, built directly so that
+    # nothing validates it: d o d of the top cell is 2(1) - 2(0)
+    faces = dict(dsx.standard("simplex", 2).faces)
+    a, b, c = faces["0,1,2"]
+    faces["0,1,2"] = (b, a, c)
+    return dsx.DeltaSet({0: ["0", "1", "2"], 1: ["0,1", "0,2", "1,2"],
+                         2: ["0,1,2"]}, faces)
+
+
+def test_a_set_whose_boundary_does_not_square_to_zero_is_refused():
+    for reduced in (False, True):
+        with pytest.raises(ValueError, match="d o d"):
+            dsx.reduction_of(_broken_triangle(), reduced)
+        with pytest.raises(ValueError, match="d o d"):
+            dsx.homology_of(_broken_triangle(), reduced=reduced)
+        with pytest.raises(ValueError, match="d o d"):
+            dsx.chain_complex(_broken_triangle(), reduced)
+    with pytest.raises(ValueError, match="d o d"):
+        dsx.bockstein(_broken_triangle(), 3, 1)
+
+
+def test_reduction_of_verifies_the_residue_only(monkeypatch):
+    # the full complex is built only to be reduced, so the elimination
+    # checks its d o d on its own columns; ChainComplex.verify runs once,
+    # on the residue
+    verified = []
+    verify = dsx.ChainComplex.verify
+
+    def recording_verify(C):
+        verified.append(C)
+        return verify(C)
+
+    monkeypatch.setattr(dsx.ChainComplex, "verify", recording_verify)
+    K = dsx.geometric_product(dsx.cycle_graph(3), dsx.cycle_graph(4))
+    R = dsx.reduction_of(K)
+    assert verified == [R.residue]
+
+
+def test_morse_reduce_checks_d_squared_before_reducing():
+    # d_1 d_2 = 2 != 0; over Z/2 that product would vanish, so the check
+    # runs on the integral entries, before they are reduced mod q
+    bnd = {1: {(0, 0): 1}, 2: {(0, 0): 2}}
+    for q in (None, 2, 4):
+        with pytest.raises(ValueError, match=r"d o d != 0 in degrees \[2\]"):
+            exact.morse_reduce({0: 1, 1: 1, 2: 1}, dict(bnd), q=q)
+
+
 def test_morse_reduced_leaves_the_complex_intact(corpus):
     C = dsx.chain_complex(corpus["RP2"])
     before = {k: dict(coo) for k, coo in C.d.items()}

@@ -213,6 +213,82 @@ def test_orbit_map_names_each_cell_by_its_least_member(moore3_p2):
             assert mapping[s] == orbit_cell_name(least), s
 
 
+def _orbits_through_an_index(W):
+    """P and the orbit map of W's orbit set, named through an explicit
+    representative -> name dict, in any order within a dimension."""
+    from dsx.io import delta_to_dict
+    from dsx.moore import _orbit_rep, orbit_cell_name
+    from dsx.products import cell_data
+    names, orbit_map, simplices, faces, keys = {}, {}, {}, {}, {}
+    for d, s in W.all_cells():
+        key = cell_data(W, s)
+        rep = _orbit_rep(key)
+        name = names.setdefault(rep, orbit_cell_name(rep))
+        orbit_map[s] = name
+        if rep == key:
+            simplices.setdefault(d, []).append(name)
+            keys[name] = rep
+            faces[name] = tuple(map(orbit_map.get, W.faces[s]))
+    P = dsx.DeltaSet(simplices, faces, sort_keys=keys, based=True)
+    return delta_to_dict(P), {s: P.sort_key(s) for s in P.dim_of}, orbit_map
+
+
+# (X, i) for the orbit-pass tests; the paper's M at n = 2, 3, 5 and i = 2
+ORBIT_CASES = {"M2": lambda: (dsx.moore_space(2)[0], 2),
+               "M3": lambda: (dsx.moore_space(3)[0], 2),
+               "M5": lambda: (dsx.moore_space(5)[0], 2),
+               "S2": lambda: (dsx.sphere2(), 2),
+               "S2^3": lambda: (dsx.sphere2(), 3),
+               "S<3>^3": lambda: (dsx.s_bracket(3), 3)}
+
+
+@pytest.mark.parametrize("case", sorted(ORBIT_CASES))
+def test_orbits_named_without_an_index_match_the_indexed_pass(case):
+    # the one pass over W names each orbit at its first member and every
+    # later member from the orbit map; a reference pass that keeps a
+    # representative -> name dict gives the same P, sort keys and map
+    from dsx.io import delta_to_dict
+    X, i = ORBIT_CASES[case]()
+    P, om, W = dsx.symmetric_power_of(X, i)
+    want_p, want_keys, want_map = _orbits_through_an_index(W)
+    assert delta_to_dict(P) == want_p
+    assert {s: P.sort_key(s) for s in P.dim_of} == want_keys
+    assert om.mapping == want_map
+
+
+@pytest.mark.parametrize("case", ["M2", "M3", "S2", "S2^3", "S<3>^3"])
+def test_an_orbits_first_member_in_w_is_its_least(case):
+    # what the orbit pass rests on: W lists each dimension in sort-key
+    # order, so the least member of an orbit (found here by trying every
+    # sigma) comes first
+    from dsx.products import cell_data
+    X, i = ORBIT_CASES[case]()
+    W = dsx.n_ary_smash([X] * i)
+    first = {}
+    for d, s in W.all_cells():
+        xs, pts = cell_data(W, s)
+        least = min((tuple(xs[t] for t in sigma),
+                     tuple(tuple(p[t] for t in sigma) for p in pts))
+                    for sigma in permutations(range(len(xs))))
+        assert first.setdefault(least, (xs, pts)) == least, s
+
+
+def test_the_orbit_pass_refuses_a_representative_it_has_not_met(
+        monkeypatch):
+    # a representative that W does not list before its orbit-mates is a
+    # ValueError, never a misnamed cell
+    from importlib import import_module
+    moore = import_module("dsx.moore")
+
+    def greatest_member(key):  # of a swap orbit
+        xs, pts = key
+        return max(key, ((xs[1], xs[0]), tuple((b, a) for a, b in pts)))
+
+    monkeypatch.setattr(moore, "_orbit_rep", greatest_member)
+    with pytest.raises(ValueError, match="does not come before it"):
+        moore.symmetric_power_of(dsx.sphere2(), 2)
+
+
 def test_power_projection_associativity_generic():
     # the mandated cache bound p - 1 = 2 at p = 3 leaves no room for a
     # triple, so the associativity square is exercised generically on the

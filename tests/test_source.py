@@ -24,3 +24,15 @@ def test_every_import_is_used(path):
                             for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def test_the_cli_loads_openssl_only_for_certificates():
+    # hashlib loads OpenSSL (3.6 MB resident); only the certificate
+    # digests need it, so a moore or homology run never pays for it
+    import subprocess
+    import sys
+    code = ("import sys, dsx.cli\n"
+            "assert '_hashlib' not in sys.modules, 'hashlib was imported'\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.abspath(os.path.join(SRC, os.pardir)))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
