@@ -142,10 +142,6 @@ class DeltaSet:
         return tuple(len(self.simplices.get(d, ()))
                      for d in range(self.top_dim + 1))
 
-    def face(self, s, i):
-        """Face i of s; the basepoint (None) is its own face."""
-        return None if s is None else self.faces[s][i]
-
     def iterated_face(self, s, missing):
         """Apply the injective monotone map skipping `missing` (a set of
         indices): faces are taken in decreasing index order."""
@@ -371,9 +367,6 @@ class DeltaMorphism:
                                 for i, (g, w) in enumerate(zip(got, want))
                                 if g != w)
         return problems
-
-    def __call__(self, s):
-        return None if s is None else self.mapping[s]
 
     def compose(self, other):
         """self o other (other applied first)."""

@@ -23,9 +23,9 @@ mapping cone built only to be reduced is consumed the same way.
 
 Where d o d = 0 is checked: exact.morse_reduce checks every complex it
 reduces, on the SparseMat columns it builds anyway, before its first
-pivot and before any reduction mod q.  So a Delta-set's complex that is
-built only to be reduced (`reduction_of`, `bockstein`) is built
-unchecked, and its reduction checks it.  `chain_complex`'s complexes,
+pivot and before any reduction mod q.  So a Delta-set's complex, which
+is built only to be reduced (`reduction_of`), is built unchecked, and
+its reduction checks it.  `chain_complex`'s complexes,
 residues and every other ChainComplex built with check=True (the
 default) are checked on construction by `ChainComplex.verify`.  Both
 checks share one kernel, `exact.composite_vanishes`.
@@ -43,10 +43,11 @@ equivalence over Z, so cone(G) is chain homotopy equivalent to cone(F)
 (Harker-Mischaikow-Mrozek-Nanda, FoCM 14, 2014).  The small cone is built
 with its d o d = 0 check, which also checks that G is a chain map.
 
-The mod-p Bockstein is the connecting map of 0 -> Z/p -> Z/p^2 -> Z/p -> 0,
-so it depends only on the chains over Z/p^2.  The same kernel Morse-reduces
-them over Z/p^2, cancelling every entry prime to p (a chain homotopy
-equivalence over Z/p^2); the residue's differential is p*B, so its cells
+The mod-p Bockstein is the connecting map of 0 -> Z/p -> Z/p^2 -> Z/p -> 0.
+It is natural, so pi commutes with it, and it is read off the residue
+that `reduction_of` caches.  The same kernel Morse-reduces that residue
+over Z/p^2, cancelling every entry prime to p (a chain homotopy
+equivalence over Z/p^2); what is left has differential p*B, so its cells
 are a basis of mod-p homology and the Bockstein is B mod p.
 """
 
@@ -269,15 +270,18 @@ def _build_chain_complex(K, reduced):
         for key in [key for key, v in coo.items() if not v]:
             del coo[key]
         d[k] = coo
-    lo = 0
-    if not based and reduced:
-        lo = -1
+    lo, hi = _degrees(K, reduced)
+    if lo == -1:
         ranks[-1] = 1
         d[0] = {(0, c): 1 for c in range(ranks.get(0, 0))}
     if based and not reduced:
         ranks[0] = ranks.get(0, 0) + 1  # disjoint basepoint component
-    hi = max(top, 0)
     return ChainComplex(lo, hi, ranks, d, check=False)
+
+
+def _degrees(K, reduced):
+    """(lo, hi) of K's chain complex; -1 is the augmentation degree."""
+    return -1 if reduced and not K.based else 0, max(K.top_dim, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -384,14 +388,14 @@ def chain_map_matrices(f, reduced=None):
         reduced = f.source.based
     CS = chain_complex(f.source, reduced=reduced)
     CT = chain_complex(f.target, reduced=reduced)
-    return CS, CT, _map_matrices(f, reduced, CS, CT)
+    return CS, CT, _map_matrices(f, reduced)
 
 
-def _map_matrices(f, reduced, CS, CT):
-    """The COO matrices of f's chain map, sized from the degree ranges
-    and ranks of CS and CT, complexes or Reductions."""
+def _map_matrices(f, reduced):
+    """The COO matrices of f's chain map, sized from f's ends alone."""
+    lo, hi = zip(_degrees(f.source, reduced), _degrees(f.target, reduced))
     mats = {}
-    for k in range(max(CS.lo, CT.lo), min(CS.hi, CT.hi) + 1):
+    for k in range(max(lo), min(hi) + 1):
         if k == -1:  # augmentation degree: identity
             mats[-1] = {(0, 0): 1}
             continue
@@ -403,7 +407,8 @@ def _map_matrices(f, reduced, CS, CT):
                 continue
             coo[(tindex[t], c)] = 1
         if k == 0 and f.source.based and f.target.based and not reduced:
-            coo[(CT.ranks[0] - 1, CS.ranks[0] - 1)] = 1  # basepoint generators
+            # the basepoint generators follow the 0-cells
+            coo[(len(f.target.cells(0)), len(f.source.cells(0)))] = 1
         mats[k] = coo
     return mats
 
@@ -455,8 +460,7 @@ def is_homology_iso(f, coeff="Z", p=None, reduced=None):
         reduced = f.source.based
     R = reduction_of(f.target, reduced)
     CS = chain_complex(f.source, reduced)
-    return _cone_is_acyclic(CS, R, _map_matrices(f, reduced, CS, R),
-                            coeff, p)
+    return _cone_is_acyclic(CS, R, _map_matrices(f, reduced), coeff, p)
 
 
 # ---------------------------------------------------------------------------
@@ -628,20 +632,21 @@ def bockstein(K, p, k):
     """The Bockstein H~_k(-; F_p) -> H~_{k-1}(-; F_p) of a Delta-set.
 
     Connecting map of 0 -> Z/p -> Z/p^2 -> Z/p -> 0: lift a mod-p cycle to
-    a chain over Z/p^2, take the boundary, divide by p, reduce mod p.  The
-    reduced chains are Morse-reduced over Z/p^2, cancelling every entry
-    prime to p; this is a chain homotopy equivalence over Z/p^2, so the
-    Bockstein is unchanged.  Every residue entry is divisible by p (checked;
-    a ValueError otherwise): the residue cells form a basis of mod-p
-    homology, every cell is a mod-p cycle that lifts to itself, and the
-    matrix is (residue d_k) / p mod p, and its rank over F_p is taken by
-    `exact.sparse_rank_mod_p` from the COO dict of (residue d_k) / p.
+    a chain over Z/p^2, take the boundary, divide by p, reduce mod p.  K's
+    cached integral residue (`reduction_of`, reduced chains) is
+    Morse-reduced over Z/p^2, cancelling every entry prime to p; both
+    reductions are chain homotopy equivalences, so the Bockstein is
+    unchanged.  Every entry left is divisible by p (checked; a ValueError
+    otherwise): the cells left form a basis of mod-p homology, every cell
+    is a mod-p cycle that lifts to itself, and the matrix is (d_k) / p mod
+    p, and its rank over F_p is taken by `exact.sparse_rank_mod_p` from the
+    COO dict of (d_k) / p.
     Only `rank` and the dimensions are independent of that basis.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    C = _build_chain_complex(K, True)  # checked and consumed by the reduction
-    ranks, bnd, _ = exact.morse_reduce(C.ranks, C.d, q=p * p)
+    R = reduction_of(K, True).residue
+    ranks, bnd, _ = exact.morse_reduce(R.ranks, dict(R.d), q=p * p)
     if any(v % p for coo in bnd.values() for v in coo.values()):
         raise ValueError(f"a residue entry over Z/{p * p} is not divisible "
                          f"by {p}")

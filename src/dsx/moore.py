@@ -21,7 +21,8 @@ from .delta import DeltaSet, DeltaMorphism, identity_morphism, pushout, \
     standard
 from .based import based_quotient, finite_model, basepoint_name
 from .products import (smash, n_ary_smash, cell_name, cell_data,
-                       smash_morphism, smash_morphism_left)
+                       chart_morphism, slice_inclusion, smash_morphism,
+                       smash_morphism_left)
 from .moves import ExpansionCertificate, Move, cylinder_inclusions
 from .homology import certify_moore, is_homology_iso
 
@@ -102,11 +103,7 @@ def based_cone(X):
     i_X sends x to [v, x; chart] over the non-basepoint end of I; the
     smash I /\\ X is weakly contractible (its reduced homology vanishes)."""
     IX = smash(interval(), X)
-    mapping = {}
-    for d, x in X.all_cells():
-        pts = tuple((0, k) for k in range(d + 1))
-        mapping[x] = cell_name(("v", x), pts)
-    return IX, DeltaMorphism(X, IX, mapping)
+    return IX, slice_inclusion(X, IX, "v", vertex_first=True)
 
 
 # ---------------------------------------------------------------------------
@@ -396,12 +393,10 @@ class PowerSystem:
         target = self.power(i + j)
         if key in self._projections:
             return self._projections[key]
-        source = smash(Pi, Pj)
-        mapping = {}
-        for d, s in source.all_cells():
-            (a, b), psi = cell_data(source, s)
-            mapping[s] = self.flat_orbit_name(((i, a), (j, b)), psi)
-        mu = DeltaMorphism(source, target, mapping)
+        mu = chart_morphism(
+            smash(Pi, Pj), target,
+            lambda ab, psi: self.flat_orbit_name(((i, ab[0]), (j, ab[1])),
+                                                 psi))
         self._projections[key] = mu
         return mu
 
@@ -466,16 +461,14 @@ class MooreSystem:
             raise ValueError("coherence needs i >= 2")
         ps = self.powers
         target = ps.power(i)  # built, and its W freed, before the source
-        src = smash(self.S2, ps.power(i - 1))
-        mapping = {}
-        for d, s in src.all_cells():
-            (x, y), pts = cell_data(src, s)
-            mx = self.iota.mapping[x]
-            if mx is None:
-                mapping[s] = None
-                continue
-            mapping[s] = ps.flat_orbit_name(((1, mx), (i - 1, y)), pts)
-        return DeltaMorphism(src, target, mapping)
+        iota = self.iota.mapping
+
+        def image(xy, pts):
+            mx = iota[xy[0]]
+            return None if mx is None else ps.flat_orbit_name(
+                ((1, mx), (i - 1, xy[1])), pts)
+
+        return chart_morphism(smash(self.S2, ps.power(i - 1)), target, image)
 
     def coherence_composite(self, i):
         """(map, verdict): whether the coherence composite induces an

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from heapq import heapify, heappop
 
 from .delta import DeltaSet, DeltaMorphism, SubDeltaSet, standard, pushout
-from .products import n_ary_product, cell_name, smash_counts
+from .products import n_ary_product, cell_name, slice_inclusion, \
+    smash_counts
 
 
 class BudgetExhausted(Exception):
@@ -350,24 +351,13 @@ def cone_counts(counts):
 # mapping cylinders
 # ---------------------------------------------------------------------------
 
-def _vertex_chart(d):
-    # chart of (x, vertex): the vertex component is constant 0
-    return tuple((k, 0) for k in range(d + 1))
-
-
 def cylinder_inclusions(K, interval):
     """Front and back inclusions i0, i1 : K -> K (x) Delta[1].
 
     i0 lands on the vertex "0" (the face d_1 of Delta[1]), i1 on "1"."""
     P = n_ary_product([K, interval])
     v0, v1 = interval.cells(0)
-    maps = []
-    for v in (v0, v1):
-        mapping = {}
-        for d, x in K.all_cells():
-            mapping[x] = cell_name((x, v), _vertex_chart(d))
-        maps.append(DeltaMorphism(K, P, mapping))
-    return P, maps[0], maps[1]
+    return P, slice_inclusion(K, P, v0), slice_inclusion(K, P, v1)
 
 
 def prism_expansion_moves(K, P, interval):

@@ -19,9 +19,10 @@ single faces of factors and one name lookup.  For smash products a factor
 that normalizes to the basepoint kills the simplex.
 
 Product cells record (factor names, chart points) as their sort key, so
-structural maps never need to parse cell names.  `product_morphism` maps
-products and smashes alike: a cell keeps its chart and takes the factors'
-images, or goes to the basepoint when one of them does.
+structural maps never need to parse cell names.  Each map out of a
+product or smash (product_morphism, the unit, symmetry and associativity
+isomorphisms, moore's projections) is a rule on that key, made a morphism
+by `chart_morphism`; K -> K (x) L at a vertex of L is `slice_inclusion`.
 """
 
 from __future__ import annotations
@@ -190,6 +191,24 @@ def geometric_product(K, L):
     return n_ary_product([K, L])
 
 
+def chart_morphism(source, target, image):
+    """The morphism sending each cell of the product or smash `source` to
+    image(factors, chart), a cell name of `target` or None (the
+    basepoint)."""
+    return DeltaMorphism(source, target, {
+        s: image(*cell_data(source, s)) for d, s in source.all_cells()})
+
+
+def slice_inclusion(K, P, v, vertex_first=False):
+    """K -> P = K (x) L sending x to (x, v) over the constant chart, for a
+    vertex v of L; with vertex_first, P = L (x) K and x goes to (v, x)."""
+    step = -1 if vertex_first else 1
+    mapping = {x: cell_name((x, v)[::step],
+                            tuple((k, 0)[::step] for k in range(d + 1)))
+               for d, x in K.all_cells()}
+    return DeltaMorphism(K, P, mapping)
+
+
 def product_morphism(fs):
     """Product of morphisms K1 (x) ... (x) Kr -> L1 (x) ... (x) Lr, or their
     smash when the factors are based; a cell goes to the basepoint when any
@@ -201,15 +220,14 @@ def product_morphism(fs):
     if len(fs) == 1:
         return fs[0]
     build = n_ary_smash if any(f.source.based for f in fs) else n_ary_product
-    source = build([f.source for f in fs])
-    target = build([f.target for f in fs])
     maps = [f.mapping for f in fs]
-    mapping = {}
-    for d, s in source.all_cells():
-        xs, pts = cell_data(source, s)
+
+    def image(xs, pts):
         ys = tuple(m[x] for m, x in zip(maps, xs))
-        mapping[s] = None if None in ys else cell_name(ys, pts)
-    return DeltaMorphism(source, target, mapping)
+        return None if None in ys else cell_name(ys, pts)
+
+    return chart_morphism(build([f.source for f in fs]),
+                          build([f.target for f in fs]), image)
 
 
 # -- structural isomorphisms ------------------------------------------------
@@ -217,59 +235,43 @@ def product_morphism(fs):
 def unit_iso(K, point):
     """K (x) Delta[0] -> K: the chart's first component is forced to be the
     identity, so the map forgets the point factor."""
-    P = n_ary_product([K, point])
-    mapping = {s: cell_data(P, s)[0][0] for d, s in P.all_cells()}
-    return DeltaMorphism(P, K, mapping)
+    return chart_morphism(n_ary_product([K, point]), K,
+                          lambda xs, pts: xs[0])
 
 
 def unit_iso_inverse(K, point):
-    P = n_ary_product([K, point])
-    v = point.cells(0)[0]
-    mapping = {}
-    for d, x in K.all_cells():
-        pts = tuple((k, 0) for k in range(d + 1))
-        mapping[x] = cell_name((x, v), pts)
-    return DeltaMorphism(K, P, mapping)
+    return slice_inclusion(K, n_ary_product([K, point]), point.cells(0)[0])
 
 
 def symmetry_iso(K, L):
     """The factor interchange K (x) L -> L (x) K."""
-    src = n_ary_product([K, L])
-    dst = n_ary_product([L, K])
-    mapping = {}
-    for d, s in src.all_cells():
-        xs, pts = cell_data(src, s)
-        swapped = tuple((b, a) for a, b in pts)
-        mapping[s] = cell_name((xs[1], xs[0]), swapped)
-    return DeltaMorphism(src, dst, mapping)
+    return chart_morphism(
+        n_ary_product([K, L]), n_ary_product([L, K]),
+        lambda xs, pts: cell_name(xs[::-1], tuple(p[::-1] for p in pts)))
 
 
 def assoc_iso_nary(K, L, M):
     """(K (x) L) (x) M -> the 3-ary product, composing the charts."""
     KL = n_ary_product([K, L])
-    src = n_ary_product([KL, M])
-    dst = n_ary_product([K, L, M])
-    mapping = {}
-    for d, s in src.all_cells():
-        (xy, z), psi = cell_data(src, s)
-        (x, y), phi = cell_data(KL, xy)
-        pts = tuple((phi[u][0], phi[u][1], v) for (u, v) in psi)
-        mapping[s] = cell_name((x, y, z), pts)
-    return DeltaMorphism(src, dst, mapping)
+
+    def image(xs, psi):
+        xy, phi = cell_data(KL, xs[0])
+        return cell_name(xy + xs[1:], tuple(phi[u] + (v,) for u, v in psi))
+
+    return chart_morphism(n_ary_product([KL, M]), n_ary_product([K, L, M]),
+                          image)
 
 
 def assoc_iso_nary_right(K, L, M):
     """K (x) (L (x) M) -> the 3-ary product."""
     LM = n_ary_product([L, M])
-    src = n_ary_product([K, LM])
-    dst = n_ary_product([K, L, M])
-    mapping = {}
-    for d, s in src.all_cells():
-        (x, yz), psi = cell_data(src, s)
-        (y, z), phi = cell_data(LM, yz)
-        pts = tuple((u, phi[v][0], phi[v][1]) for (u, v) in psi)
-        mapping[s] = cell_name((x, y, z), pts)
-    return DeltaMorphism(src, dst, mapping)
+
+    def image(xs, psi):
+        yz, phi = cell_data(LM, xs[1])
+        return cell_name(xs[:1] + yz, tuple((u,) + phi[v] for u, v in psi))
+
+    return chart_morphism(n_ary_product([K, LM]), n_ary_product([K, L, M]),
+                          image)
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +332,4 @@ def smash_morphism_left(X, f):
 
 def smash_unit_iso(szero, K):
     """S0 /\\ K -> K for S0 with a single non-basepoint vertex."""
-    P = smash(szero, K)
-    mapping = {s: cell_data(P, s)[0][1] for d, s in P.all_cells()}
-    return DeltaMorphism(P, K, mapping)
+    return chart_morphism(smash(szero, K), K, lambda xs, pts: xs[1])

@@ -289,9 +289,16 @@ def test_morse_residue_checks_itself(corpus, monkeypatch):
 
 
 def test_bockstein_refuses_a_residue_entry_not_divisible_by_p(monkeypatch):
-    monkeypatch.setattr(exact, "morse_reduce",
-                        lambda ranks, boundaries, q=None:
-                        ({0: 1, 1: 1}, {1: {(0, 0): 4}}, []))
+    # only the reduction over Z/p^2 is faked; the integral one it starts
+    # from is the real one
+    reduce = exact.morse_reduce
+
+    def fake_mod_q(ranks, boundaries, q=None):
+        if q is None:
+            return reduce(ranks, boundaries)
+        return {0: 1, 1: 1}, {1: {(0, 0): 4}}, []
+
+    monkeypatch.setattr(exact, "morse_reduce", fake_mod_q)
     with pytest.raises(ValueError, match="not divisible by 3"):
         dsx.bockstein(dsx.circle(), 3, 1)
 
@@ -442,6 +449,39 @@ def test_unreduced_map_into_an_unbased_set_drops_the_basepoint():
     assert dsx.chain_map_matrices(f, reduced=False)[2] == {0: {(0, 0): 1}}
 
 
+def test_map_matrices_fit_the_complexes(corpus, moore3):
+    # the chain map's matrices are sized from the morphism alone; they fit
+    # the complexes of its ends, and its cone checks that it is a chain map
+    from dsx.homology import _map_matrices
+    pt = corpus["point"]
+    v = dsx.DeltaSet({0: ["v"]}, {}, based=True)
+    maps = [dsx.nabla(3), dsx.psi(1, 4), moore3.iota,
+            dsx.identity_morphism(dsx.circle()),
+            dsx.based_cone(dsx.s_bracket(3))[1],
+            dsx.DeltaMorphism(v, dsx.standard("boundary", 1), {"v": "0"}),
+            dsx.DeltaMorphism(dsx.EMPTY, corpus["C3"], {})]
+    for name, K in corpus.items():
+        maps += [dsx.identity_morphism(K), dsx.unit_iso(K, pt)]
+        if name != "cone_bdD2":  # it holds the cone point's name already
+            maps.append(dsx.cone(K)[1])
+    for f in maps:
+        for reduced in (False, True):
+            CS = dsx.chain_complex(f.source, reduced)
+            CT = dsx.chain_complex(f.target, reduced)
+            mats = _map_matrices(f, reduced)
+            assert set(mats) == set(range(max(CS.lo, CT.lo),
+                                          min(CS.hi, CT.hi) + 1))
+            for k, coo in mats.items():
+                assert all(0 <= r < CT.rank(k) and 0 <= c < CS.rank(k)
+                           for r, c in coo), (f.source, reduced, k)
+            if f.source.based and f.target.based and not reduced:
+                assert mats[0][(CT.rank(0) - 1, CS.rank(0) - 1)] == 1
+            if f.source.based == f.target.based or not reduced:
+                # (a based set's reduced chains have no augmentation to
+                # commute with that of an unbased target)
+                dsx.mapping_cone_complex(CS, CT, mats)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_nabla_and_psi_induced_maps(p):
     nabla_h1 = dsx.induced_map(dsx.nabla(p))[1]
@@ -492,6 +532,38 @@ def test_bockstein_of_moore_is_iso(moore3):
     b = dsx.bockstein(moore3.M, 3, 3)
     assert b["source_dim"] == b["target_dim"] == 1
     assert dsx.fp_matrix_is_iso(b)
+
+
+def test_bockstein_reads_the_cached_reduction(monkeypatch):
+    # once homology_of has reduced K's complex, no Bockstein builds it
+    # again; from a fresh K, every Bockstein together builds it once (the
+    # Moore set is never fresh: building it certifies its homology)
+    from importlib import import_module
+    from conftest import RP2_TRIANGLES
+    hom = import_module("dsx.homology")
+    built = []
+    build = hom._build_chain_complex
+
+    def counting_build(K, reduced):
+        built.append((K, reduced))
+        return build(K, reduced)
+
+    monkeypatch.setattr(hom, "_build_chain_complex", counting_build)
+    def every_bockstein(K):
+        built.clear()
+        for p in (2, 3):
+            for k in range(K.top_dim + 2):
+                dsx.bockstein(K, p, k)
+        return built
+
+    for make in (dsx.sphere2, lambda: dsx.s_bracket(4),
+                 lambda: dsx.from_simplicial_complex(RP2_TRIANGLES)):
+        K = make()
+        assert every_bockstein(K) == [(K, True)]
+        K = make()
+        dsx.homology_of(K, reduced=True)
+        assert every_bockstein(K) == []
+    assert every_bockstein(dsx.moore_space(3)[0]) == []
 
 
 def test_bockstein_rank_and_dimensions_match_homology(corpus):

@@ -77,6 +77,18 @@ def test_based_cone_contractible():
         assert iX.is_injective()
 
 
+def test_based_cone_inclusion_is_pinned():
+    # x goes to (v, x) over the chart constant at I's vertex v
+    from dsx.products import cell_name
+    for X in (dsx.circle(), dsx.s_bracket(3), dsx.sphere2(),
+              dsx.smash(dsx.circle(), dsx.s_bracket(3))):
+        IX, iX = dsx.based_cone(X)
+        assert IX == dsx.smash(dsx.interval(), X)
+        assert iX.mapping == {
+            x: cell_name(("v", x), tuple((0, k) for k in range(d + 1)))
+            for d, x in X.all_cells()}
+
+
 # ---------------------------------------------------------------------------
 # the combinatorial homotopy (acceptance criterion 5 at module level)
 # ---------------------------------------------------------------------------
@@ -335,6 +347,36 @@ def test_coherence_composite_p3(moore3_p2):
     groups = homology_of(f.source)
     assert {k: str(g) for k, g in groups.items() if not g.is_trivial()} \
         == {4: "Z/3"}
+
+
+def test_projection_and_coherence_mappings_are_pinned(moore3_p2):
+    from dsx.products import cell_data
+
+    def loop(source, rule):
+        mapping = {}
+        for d, s in source.all_cells():
+            (a, b), pts = cell_data(source, s)
+            mapping[s] = rule(a, b, pts)
+        return mapping
+
+    for X in (dsx.s_bracket(3), dsx.sphere2()):
+        ps = PowerSystem(X)
+        for i, j in ((1, 1), (1, 2), (2, 1)):
+            mu = ps.projection(i, j)
+            assert mu.target is ps.power(i + j)
+            assert mu.mapping == loop(
+                dsx.smash(ps.power(i), ps.power(j)),
+                lambda a, b, pts: ps.flat_orbit_name(((i, a), (j, b)), pts))
+    ms = moore3_p2
+    f = ms.coherence_map(2)
+    assert f.target is ms.power(2)
+
+    def coherence(x, y, pts):
+        mx = ms.iota.mapping[x]
+        return None if mx is None else ms.powers.flat_orbit_name(
+            ((1, mx), (1, y)), pts)
+
+    assert f.mapping == loop(dsx.smash(ms.S2, ms.M), coherence)
 
 
 def _through_projection(f, iota, mu):

@@ -274,6 +274,21 @@ def test_cylinder_pushout_agrees_with_delta_core():
     assert po.delta == Mf
 
 
+def test_cylinder_inclusions_are_pinned(corpus):
+    # x goes to (x, v) over the constant chart, v = "0" front, "1" back
+    from dsx.products import cell_name
+    interval = dsx.standard("simplex", 1)
+    for name in ("point", "D2", "bdD2", "horn21", "C3", "square", "RP2"):
+        K = corpus[name]
+        P, front, back = dsx.cylinder_inclusions(K, interval)
+        assert P == dsx.geometric_product(K, interval)
+        for f, v in ((front, "0"), (back, "1")):
+            assert f.source is K and f.target is P
+            assert f.mapping == {
+                x: cell_name((x, v), tuple((k, 0) for k in range(d + 1)))
+                for d, x in K.all_cells()}
+
+
 def test_cone_and_cylinder_counts_predict_built_counts(corpus):
     from dsx.moves import cone_counts, cylinder_counts
     C4 = dsx.cycle_graph(4)

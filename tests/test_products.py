@@ -507,3 +507,103 @@ def test_psi_smashed_with_circle_is_homology_iso():
     assert dsx.is_homology_iso(f)
     g = dsx.smash_morphism(dsx.nabla(3), dsx.circle())
     assert not dsx.is_homology_iso(g)  # degree 3 on the top class
+
+
+# ---------------------------------------------------------------------------
+# every structural map is one cellwise rule: the exact mappings, pinned
+# against the loops each map was once written out as
+# ---------------------------------------------------------------------------
+
+def _loop(source, rule):
+    mapping = {}
+    for d, s in source.all_cells():
+        xs, pts = cell_data(source, s)
+        mapping[s] = rule(xs, pts)
+    return mapping
+
+
+def _constant_chart(d):
+    return tuple((k, 0) for k in range(d + 1))
+
+
+def _pairs(corpus):
+    names = ("point", "D2", "bdD2", "horn21", "C3", "square", "two_points")
+    return [(corpus[a], corpus[b]) for a in names for b in names[:5]]
+
+
+def test_chart_morphism_and_slice_inclusion():
+    from dsx.products import chart_morphism, slice_inclusion
+    K, L = dsx.cycle_graph(3), dsx.standard("simplex", 1)
+    P = dsx.geometric_product(K, L)
+    ident = chart_morphism(P, P, cell_name)
+    assert ident.mapping == {s: s for s in P.dim_of}
+    assert list(ident.mapping) == [s for _, s in P.all_cells()]
+    for v in L.cells(0):
+        f = slice_inclusion(K, P, v)
+        assert f.mapping == {x: cell_name((x, v), _constant_chart(d))
+                             for d, x in K.all_cells()}
+        g = slice_inclusion(K, dsx.geometric_product(L, K), v,
+                            vertex_first=True)
+        assert g.mapping == {
+            x: cell_name((v, x), tuple((0, k) for k in range(d + 1)))
+            for d, x in K.all_cells()}
+    with pytest.raises(ValueError, match="invalid morphism"):
+        chart_morphism(P, P, lambda xs, pts: cell_name(xs, pts[::-1]))
+
+
+def test_unit_and_symmetry_mappings_are_pinned(corpus):
+    pt = corpus["point"]
+    for K, L in _pairs(corpus):
+        assert dsx.unit_iso(K, pt).mapping == \
+            _loop(dsx.n_ary_product([K, pt]), lambda xs, pts: xs[0])
+        assert dsx.unit_iso_inverse(K, pt).mapping == {
+            x: cell_name((x, pt.cells(0)[0]), _constant_chart(d))
+            for d, x in K.all_cells()}
+        assert dsx.symmetry_iso(K, L).mapping == _loop(
+            dsx.n_ary_product([K, L]), lambda xs, pts: cell_name(
+                (xs[1], xs[0]), tuple((b, a) for a, b in pts)))
+
+
+def test_associativity_mappings_are_pinned(corpus):
+    M = corpus["interval"]
+    for K, L in _pairs(corpus):
+        KL, LM = dsx.n_ary_product([K, L]), dsx.n_ary_product([L, M])
+
+        def left(xs, psi):
+            (x, y), phi = cell_data(KL, xs[0])
+            return cell_name((x, y, xs[1]),
+                             tuple((phi[u][0], phi[u][1], v) for u, v in psi))
+
+        def right(xs, psi):
+            (y, z), phi = cell_data(LM, xs[1])
+            return cell_name((xs[0], y, z),
+                             tuple((u, phi[v][0], phi[v][1]) for u, v in psi))
+
+        assert dsx.assoc_iso_nary(K, L, M).mapping == \
+            _loop(dsx.n_ary_product([KL, M]), left)
+        assert dsx.assoc_iso_nary_right(K, L, M).mapping == \
+            _loop(dsx.n_ary_product([K, LM]), right)
+
+
+def test_product_and_smash_unit_mappings_are_pinned(corpus):
+    def loop(fs, build):
+        maps = [f.mapping for f in fs]
+
+        def rule(xs, pts):
+            ys = tuple(m[x] for m, x in zip(maps, xs))
+            return None if None in ys else cell_name(ys, pts)
+        return _loop(build([f.source for f in fs]), rule)
+
+    pt = corpus["point"]
+    for K, L in _pairs(corpus):
+        fs = [dsx.unit_iso(K, pt), dsx.symmetry_iso(L, pt)]
+        assert dsx.product_morphism(fs).mapping == \
+            loop(fs, dsx.n_ary_product)
+    S = dsx.s_bracket(3)
+    for fs in ([dsx.nabla(3), dsx.identity_morphism(dsx.circle())],
+               [dsx.psi(1, 3), dsx.nabla(3), dsx.identity_morphism(S)]):
+        assert dsx.product_morphism(fs).mapping == loop(fs, dsx.n_ary_smash)
+    s0 = dsx.DeltaSet({0: ["w"]}, {}, based=True)
+    for K in (dsx.circle(), S, dsx.sphere2()):
+        assert dsx.smash_unit_iso(s0, K).mapping == \
+            _loop(dsx.smash(s0, K), lambda xs, pts: xs[1])
