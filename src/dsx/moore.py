@@ -9,13 +9,13 @@ powers are orbit Delta-sets of n-ary smash powers: the symmetric group
 permutes factor slots and chart coordinates simultaneously, which preserves
 canonical representatives, so orbits are named by their lexicographically
 least member and faces are representative-independent (checked cell by
-cell, not assumed).
+cell, not assumed).  The least member is one sort of the factor slots by
+(factor, chart column).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import permutations
+from operator import lt
 
 from .delta import DeltaSet, DeltaMorphism, identity_morphism, pushout, \
     standard
@@ -257,34 +257,25 @@ def moore_counts(n):
 # symmetric powers
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _permuted_charts(pts):
-    """(sigma, pts with coordinates permuted by sigma) for every sigma."""
-    return tuple((sigma, tuple(tuple(p[t] for t in sigma) for p in pts))
-                 for sigma in permutations(range(len(pts[0]))))
-
-
-@lru_cache(maxsize=None)
-def _least_factors(xs):
-    """(least rearrangement of the factor tuple xs, positions in
-    permutation order of the sigmas that give it).  The least member of an
-    orbit has these factors; only the charts of those sigmas can tie."""
-    perms = [tuple(xs[t] for t in sigma)
-             for sigma in permutations(range(len(xs)))]
-    least = min(perms)
-    return least, tuple(i for i, ys in enumerate(perms) if ys == least)
-
-
 def _orbit_rep(key):
-    """The least (factors, chart) in the Sigma_r-orbit of key = (xs, pts):
-    the least factors, with the least chart among the sigmas that give
-    them.  The key itself is returned when it is the least member."""
+    """The least (factors, chart) in the Sigma_r-orbit of key = (xs, pts).
+
+    A sigma moves slot t, the factor xs[t] together with chart column t, so
+    a member of the orbit is an order of the slots.  Sorting the slots by
+    (factor, column) gives the least one: its factors ascend, which makes
+    them the least factor tuple, and the sigmas that give those factors
+    differ only in the order of slots with equal factors.  Among those, a
+    chart compares row by row, so the least one orders the columns of equal
+    factors by their first entry, ties by their second, and so on, which is
+    sorting them lexicographically.  Strictly ascending factors leave the
+    identity alone, and the key itself is returned whenever it is the
+    least member."""
     xs, pts = key
-    least, sigmas = _least_factors(xs)
-    if sigmas == (0,):  # the identity alone gives the least factors
+    if all(map(lt, xs, xs[1:])):
         return key
-    permuted = _permuted_charts(pts)
-    return least, min(permuted[t][1] for t in sigmas)
+    factors, *rows = zip(*sorted(zip(xs, *pts)))
+    rep = factors, tuple(rows)
+    return key if rep == key else rep
 
 
 def orbit_cell_name(rep):
@@ -302,13 +293,14 @@ def symmetric_power_of(X, i):
     for inspection only; PowerSystem keeps P alone, so that W, the largest
     object on the way, is freed once P is built.
 
-    An orbit is named "O" + the name of its least member.  W lists each
-    dimension in the order of its sort keys (factors, chart), which is the
-    order _orbit_rep minimises in, so the least member of an orbit is its
-    first member in one pass over W: that member names the orbit, and
-    every later member takes the name the orbit map already gives its
-    representative.  If the representative was not met first, the pass
-    raises ValueError rather than misname a cell.
+    An orbit is named "O" + the name of its least member, which
+    _orbit_rep finds by sorting the member's slots by (factor, chart
+    column).  W lists each dimension in the order of its sort keys
+    (factors, chart), the order that sort minimises in, so the least member
+    of an orbit is its first member in one pass over W: that member names
+    the orbit, and every later member takes the name the orbit map already
+    gives its representative.  If the representative was not met first,
+    the pass raises ValueError rather than misname a cell.
     """
     if i < 1:
         raise ValueError("power index must be >= 1")
@@ -337,7 +329,6 @@ def symmetric_power_of(X, i):
             raise ValueError(f"the least member {rep!r} of the orbit of "
                              f"{s!r} does not come before it in W")
         orbit_map[s] = name
-    _least_factors.cache_clear()  # else it outlives W: 6,400 tuples at p=5
     P = DeltaSet(simplices, faces, sort_keys=keys, based=True)
     del simplices  # P lists its cells in tuples of its own
     return P, DeltaMorphism(W, P, orbit_map), W

@@ -14,6 +14,19 @@ def nontrivial(K, **kw):
             if not g.is_trivial()}
 
 
+def sphere(n):
+    """The one-cell based S^n: an n-cell with every face at the basepoint."""
+    return dsx.DeltaSet({n: ["z"]}, {"z": (None,) * (n + 1)},
+                        sort_keys={"z": (0,)}, based=True)
+
+
+def least_by_trying_every_sigma(xs, pts):
+    """The least (factors, chart) in the Sigma_r-orbit of (xs, pts)."""
+    return min((tuple(xs[t] for t in sigma),
+                tuple(tuple(p[t] for t in sigma) for p in pts))
+               for sigma in permutations(range(len(xs))))
+
+
 # ---------------------------------------------------------------------------
 # the basic objects
 # ---------------------------------------------------------------------------
@@ -218,9 +231,7 @@ def test_orbit_map_names_each_cell_by_its_least_member(moore3_p2):
         assert set(mapping) == set(W.dim_of)
         for d, s in W.all_cells():
             xs, pts = cell_data(W, s)
-            least = min((tuple(xs[t] for t in sigma),
-                         tuple(tuple(p[t] for t in sigma) for p in pts))
-                        for sigma in permutations(range(len(xs))))
+            least = least_by_trying_every_sigma(xs, pts)
             assert _orbit_rep((xs, pts)) == least, s
             assert mapping[s] == orbit_cell_name(least), s
 
@@ -245,44 +256,124 @@ def _orbits_through_an_index(W):
     return delta_to_dict(P), {s: P.sort_key(s) for s in P.dim_of}, orbit_map
 
 
-# (X, i) for the orbit-pass tests; the paper's M at n = 2, 3, 5 and i = 2
+def test_orbit_rep_is_the_least_member_of_every_orbit():
+    # the slot sort against every sigma, on factor tuples with repeats in
+    # any pattern, e.g. (a, b, a) and (a, a, b, b), which no power of a
+    # corpus set reaches
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, strategies as st
+    from dsx.moore import _orbit_rep
+    from dsx.products import charts
+
+    @st.composite
+    def keys(draw):
+        r = draw(st.integers(1, 4))
+        xs = tuple(draw(st.lists(st.sampled_from("abc"), min_size=r,
+                                 max_size=r)))
+        dims = draw(st.lists(st.integers(0, 2), min_size=r, max_size=r)
+                    .filter(lambda ds: sum(ds) <= 6))
+        return xs, draw(st.sampled_from(charts(tuple(dims))))
+
+    @given(keys())
+    @example((("a", "b", "a"),
+              ((0, 0, 0), (1, 0, 0), (1, 0, 1), (1, 1, 1))))
+    @example((("a", "a", "b", "b"),
+              ((0, 0, 0, 0), (1, 0, 1, 0), (1, 1, 1, 1))))
+    def check(key):
+        rep = _orbit_rep(key)
+        assert rep == least_by_trying_every_sigma(*key)
+        assert (rep is key) == (rep == key)
+
+    check()
+
+
+# (X, i) for the orbit-pass tests; the paper's M at n = 2, 3, 5 and i = 2,
+# and the one-cell S^3 at i = 3; the one-cell S^2 at i = 4 is the module
+# fixture below
 ORBIT_CASES = {"M2": lambda: (dsx.moore_space(2)[0], 2),
                "M3": lambda: (dsx.moore_space(3)[0], 2),
                "M5": lambda: (dsx.moore_space(5)[0], 2),
                "S2": lambda: (dsx.sphere2(), 2),
                "S2^3": lambda: (dsx.sphere2(), 3),
-               "S<3>^3": lambda: (dsx.s_bracket(3), 3)}
+               "S<3>^3": lambda: (dsx.s_bracket(3), 3),
+               "S3cell^3": lambda: (sphere(3), 3)}
 
 
-@pytest.mark.parametrize("case", sorted(ORBIT_CASES))
-def test_orbits_named_without_an_index_match_the_indexed_pass(case):
+@pytest.fixture(scope="module")
+def s2cell_power4():
+    """symmetric_power_of(one-cell S^2, 4), built once: P^4 (1,105 cells),
+    the orbit map and W (23,917 cells)."""
+    return dsx.symmetric_power_of(sphere(2), 4)
+
+
+@pytest.fixture
+def orbit_power(request):
+    """symmetric_power_of of the ORBIT_CASES entry named by the parameter,
+    or "S2cell^4" from its module fixture."""
+    if request.param == "S2cell^4":
+        return request.getfixturevalue("s2cell_power4")
+    X, i = ORBIT_CASES[request.param]()
+    return dsx.symmetric_power_of(X, i)
+
+
+@pytest.mark.parametrize("orbit_power", sorted(ORBIT_CASES) + ["S2cell^4"],
+                         indirect=True)
+def test_orbits_named_without_an_index_match_the_indexed_pass(orbit_power):
     # the one pass over W names each orbit at its first member and every
     # later member from the orbit map; a reference pass that keeps a
     # representative -> name dict gives the same P, sort keys and map
     from dsx.io import delta_to_dict
-    X, i = ORBIT_CASES[case]()
-    P, om, W = dsx.symmetric_power_of(X, i)
+    P, om, W = orbit_power
     want_p, want_keys, want_map = _orbits_through_an_index(W)
     assert delta_to_dict(P) == want_p
     assert {s: P.sort_key(s) for s in P.dim_of} == want_keys
     assert om.mapping == want_map
 
 
-@pytest.mark.parametrize("case", ["M2", "M3", "S2", "S2^3", "S<3>^3"])
-def test_an_orbits_first_member_in_w_is_its_least(case):
+@pytest.mark.parametrize("orbit_power", ["M2", "M3", "S2", "S2^3", "S<3>^3",
+                                         "S3cell^3", "S2cell^4"],
+                         indirect=True)
+def test_an_orbits_first_member_in_w_is_its_least(orbit_power):
     # what the orbit pass rests on: W lists each dimension in sort-key
     # order, so the least member of an orbit (found here by trying every
     # sigma) comes first
     from dsx.products import cell_data
-    X, i = ORBIT_CASES[case]()
-    W = dsx.n_ary_smash([X] * i)
+    W = orbit_power[2]
     first = {}
     for d, s in W.all_cells():
         xs, pts = cell_data(W, s)
-        least = min((tuple(xs[t] for t in sigma),
-                     tuple(tuple(p[t] for t in sigma) for p in pts))
-                    for sigma in permutations(range(len(xs))))
+        least = least_by_trying_every_sigma(xs, pts)
         assert first.setdefault(least, (xs, pts)) == least, s
+
+
+# Reduced integral homology of P^i(S^n) for the one-cell S^n.  For a based
+# CW complex X, X^(/\ i) / Sigma_i is SP^i(X) / SP^(i-1)(X).  SP^i(S^1) is
+# S^1 up to homotopy, with SP^(i-1)(S^1) -> SP^i(S^1) an equivalence, so
+# P^i(S^1) is acyclic; SP^i(S^2) = CP^i (Hatcher, Algebraic Topology,
+# section 4.K), so P^i(S^2) = CP^i / CP^(i-1) = S^(2i); and
+# SP^2(S^n) / S^n = Sigma^(n+1) RP^(n-1) (James, Thomas, Toda and
+# Whitehead, "On the symmetric square of a sphere", J. Math. Mech. 12,
+# 1963).  P^3(S^3) is pinned as computed, with no closed form cited.
+SPHERE_POWER_HOMOLOGY = {
+    (1, 2): {}, (1, 3): {},
+    (2, 2): {4: "Z"}, (2, 3): {6: "Z"}, (2, 4): {8: "Z"},
+    (3, 2): {5: "Z/2"},
+    (4, 2): {6: "Z/2", 8: "Z"},
+    (5, 2): {7: "Z/2", 9: "Z/2"},
+    (6, 2): {8: "Z/2", 10: "Z/2", 12: "Z"},
+    (3, 3): {7: "Z/3", 8: "Z/2"},
+}
+
+
+@pytest.mark.parametrize("n, i", [pytest.param(n, i, id=f"S{n}cell^{i}")
+                                  for n, i in sorted(SPHERE_POWER_HOMOLOGY)])
+def test_sphere_power_homology_matches_its_closed_form(n, i, request):
+    if (n, i) == (2, 4):  # the first level-4 symmetric power checked
+        P = request.getfixturevalue("s2cell_power4")[0]
+    else:
+        P = dsx.symmetric_power_of(sphere(n), i)[0]
+    assert dsx.is_valid(P)
+    assert nontrivial(P) == SPHERE_POWER_HOMOLOGY[n, i]
 
 
 def test_the_orbit_pass_refuses_a_representative_it_has_not_met(
