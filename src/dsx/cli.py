@@ -30,8 +30,9 @@ from .products import geometric_product, smash, smash_counts
 # level) is predicted to have more cells than this is refused with exit 2
 # before anything is built; so is a `dsx dg reduce --uv-trials` whose
 # dense random map X -> t(X) would have more entries, 2|X|^2.  At some
-# 1.5 KB per cell, the budget is about 1.5 GB; M /\ M has 146,000 cells
-# at p = 5 and 986,960 at p = 13.
+# 0.7 KB per cell, the budget is about 0.7 GB: `dsx moore --power 2
+# --coherence 2` peaks near 104 MB at p = 5, where M /\ M has 146,000
+# cells, and near 630 MB at p = 13, where it has 986,960.
 MAX_CELLS = 1_000_000
 
 

@@ -192,15 +192,14 @@ class ConeResult:
     shifted part.  pbar is p viewed as a chain map Cf -> X[1].
     """
 
-    __slots__ = ("cone", "i", "u", "p", "pbar", "shifted")
+    __slots__ = ("cone", "i", "u", "p", "pbar")
 
-    def __init__(self, cone, i, u, p, pbar, shifted):
+    def __init__(self, cone, i, u, p, pbar):
         self.cone = cone
         self.i = i
         self.u = u
         self.p = p
         self.pbar = pbar
-        self.shifted = shifted
 
 
 def cone_dg(f):
@@ -214,8 +213,7 @@ def cone_dg(f):
     u = block_map(X, C, 1, lambda k: [(Y.rank(k + 1), 0, _eye(X.rank(k)))])
     p = block_map(C, X, -1,
                   lambda k: [(0, Y.rank(k), _eye(X.rank(k - 1)))])
-    Xs = shift(X, 1)
-    pbar = GradedMap(C, Xs, 0, p.mats)
+    pbar = GradedMap(C, shift(X, 1), 0, p.mats)
     if not hom_differential(i).is_zero():
         raise AssertionError("cone: d(i) != 0")
     if hom_differential(u) != i.compose(f):
@@ -226,7 +224,7 @@ def cone_dg(f):
         raise AssertionError("cone: p o u != 1")
     if not is_chain_map(pbar):
         raise AssertionError("cone: pbar is not a chain map")
-    return ConeResult(C, i, u, p, pbar, Xs)
+    return ConeResult(C, i, u, p, pbar)
 
 
 class CylinderResult:
@@ -321,16 +319,15 @@ class ModnReduction:
     0 -> X -> t(X) -> X[1] -> 0.
     """
 
-    __slots__ = ("ext", "eta", "g", "r", "p", "pi", "shifted", "n")
+    __slots__ = ("ext", "eta", "g", "r", "p", "pi", "n")
 
-    def __init__(self, ext, eta, g, r, p, pi, shifted, n):
+    def __init__(self, ext, eta, g, r, p, pi, n):
         self.ext = ext
         self.eta = eta
         self.g = g
         self.r = r
         self.p = p
         self.pi = pi
-        self.shifted = shifted
         self.n = n
 
     @property
@@ -360,7 +357,7 @@ def reduce_mod_n(X, n):
         raise AssertionError("reduction: d(g) != n * eta")
     e = g.compose(r)
     ext = ExteriorModule(t, e, n)
-    return ModnReduction(ext, eta, g, r, p, res.pbar, res.shifted, n)
+    return ModnReduction(ext, eta, g, r, p, res.pbar, n)
 
 
 # ---------------------------------------------------------------------------

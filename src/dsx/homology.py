@@ -207,11 +207,11 @@ class Reduction:
         return exact.morse_carry(self.ranks, self.pivots, maps)
 
 
-def complex_from_matrices(lo, hi, ranks, mats, check=True):
+def complex_from_matrices(lo, hi, ranks, mats):
     """Build a ChainComplex from dense boundary matrices d[k] : C_k -> C_{k-1}."""
     d = {k: {(r, c): v for r, row in enumerate(A) for c, v in enumerate(row)
              if v} for k, A in mats.items()}
-    return ChainComplex(lo, hi, ranks, d, check=check)
+    return ChainComplex(lo, hi, ranks, d)
 
 
 def chain_complex(K, reduced=False):

@@ -318,7 +318,7 @@ def symmetric_power_of(X, i):
         key = cell_data(W, s)
         rep = _orbit_rep(key)
         if rep == key:
-            name = orbit_map[s] = orbit_cell_name(rep)
+            name = orbit_map[s] = "O" + s
             simplices.setdefault(d, []).append(name)
             keys[name] = rep
             if d > 0:

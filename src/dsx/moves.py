@@ -195,7 +195,7 @@ def expansion_via_horn_pushout(sub):
         mapping = {}
         ok = True
         for d, s in horn.all_cells():
-            verts = tuple(int(v) for v in s.split(","))
+            verts = horn.sort_key(s)  # standard() keys cells by vertex tuple
             missing = [v for v in range(n + 1) if v not in verts]
             img = L.iterated_face(e, missing)
             if img not in sub.members:
@@ -214,7 +214,7 @@ def expansion_via_horn_pushout(sub):
         # compare the pushout against L via the canonical cocone
         cocone_b = {}
         for d, s in simplex.all_cells():
-            verts = tuple(int(v) for v in s.split(","))
+            verts = simplex.sort_key(s)
             missing = [v for v in range(n + 1) if v not in verts]
             cocone_b[s] = L.iterated_face(e, missing)
         u = DeltaMorphism(simplex, L, cocone_b)

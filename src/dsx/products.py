@@ -13,10 +13,10 @@ as (injective) o (surjective), the injective part is applied to the factor
 as an iterated face, and the surjective parts form the new chart.  Because
 chart steps lie in {0,1}^r, dropping a point makes each factor lose at most
 one vertex, and which vertex (and the new chart) depends only on the chart
-shape.  `_face_table(dims)` therefore does this normalization once per
-chart and face index; assembling a face is then one table row, at most r
-single faces of factors and one name lookup.  For smash products a factor
-that normalizes to the basepoint kills the simplex.
+shape.  `_face_table` therefore does this normalization once per chart
+shape and face index in each build; assembling a face is then one table
+row, at most r single faces of factors and one name lookup.  For smash
+products a factor that normalizes to the basepoint kills the simplex.
 
 Product cells record (factor names, chart points) as their sort key, so
 structural maps never need to parse cell names.  Each map out of a
@@ -28,10 +28,9 @@ by `chart_morphism`; K -> K (x) L at a vertex of L is `slice_inclusion`.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 from itertools import product as iproduct
 from math import factorial
-from operator import sub
+from operator import add, le, sub
 
 from .delta import DeltaSet, DeltaMorphism, identity_morphism, pushout
 
@@ -40,27 +39,22 @@ from .delta import DeltaSet, DeltaMorphism, identity_morphism, pushout
 # charts
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def charts(dims):
     """All canonical charts into prod([d] for d in dims), as point tuples."""
-    r = len(dims)
-    steps = [s for s in iproduct((0, 1), repeat=r) if any(s)]
     goal = tuple(dims)
+    # reversed, so that the stack pops the paths of the first step first
+    steps = [s for s in iproduct((0, 1), repeat=len(goal)) if any(s)][::-1]
     out = []
-
-    def extend(point, path):
-        if point == goal:
-            out.append(tuple(path))
-            return
+    stack = [((0,) * len(goal),)]
+    while stack:
+        path = stack.pop()
+        if path[-1] == goal:
+            out.append(path)
+            continue
         for s in steps:
-            nxt = tuple(p + q for p, q in zip(point, s))
-            if all(a <= b for a, b in zip(nxt, goal)):
-                path.append(nxt)
-                extend(nxt, path)
-                path.pop()
-
-    start = (0,) * r
-    extend(start, [start])
+            nxt = tuple(map(add, path[-1], s))
+            if all(map(le, nxt, goal)):
+                stack.append(path + (nxt,))
     return tuple(out)
 
 
@@ -81,9 +75,9 @@ def smash_counts(a, b):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def chart_name(pts):
-    return "-".join(".".join(str(c) for c in p) for p in pts)
+    point = ".".join(["%d"] * len(pts[0]))
+    return "-".join([point % p for p in pts])
 
 
 def cell_name(factors, pts):
@@ -95,19 +89,19 @@ def cell_data(P, s):
     return P.sort_key(s)
 
 
-@lru_cache(maxsize=None)
-def _face_table(dims):
-    """Face normalization of every chart into prod([d] for d in dims).
+def _face_table(dims, cs):
+    """Face normalization of the charts cs = charts(dims).
 
-    Entry [c][i] describes face i of the chart charts(dims)[c] as
+    Entry [c][i] describes face i of the chart cs[c] as
     (lost, j): lost[t] is the vertex factor t loses when point i is
     dropped (None if its component stays onto), and j indexes the
     normalized face chart in charts(face dims), where the face dims lower
     dims[t] by one for each losing factor.  Vertex charts have no entries.
     """
     index = {}
+    losts = {}  # one tuple for each value of lost, shared by its entries
     table = []
-    for pts in charts(dims):
+    for pts in cs:
         # a component loses value v when the dropped point is its only one
         once = [{v for v, k in Counter(comp).items() if k == 1}
                 for comp in zip(*pts)]
@@ -115,15 +109,16 @@ def _face_table(dims):
         for i in range(len(pts) if len(pts) > 1 else 0):
             lost = tuple(v if v in once[t] else None
                          for t, v in enumerate(pts[i]))
+            lost = losts.setdefault(lost, lost)
             shift = tuple(m is not None for m in lost)
             face_dims = tuple(map(sub, dims, shift))
             # components are monotone, so only the points after i lie
             # above a lost vertex and move down by one
             face_pts = pts[:i] + tuple(tuple(map(sub, q, shift))
                                        for q in pts[i + 1:])
-            if face_dims not in index:
-                index[face_dims] = {c: k for k, c in
-                                    enumerate(charts(face_dims))}
+            if face_dims not in index:  # dims when no factor loses a vertex
+                index[face_dims] = {c: k for k, c in enumerate(
+                    cs if face_dims == dims else charts(face_dims))}
             row.append((lost, index[face_dims][face_pts]))
         table.append(tuple(row))
     return tuple(table)
@@ -134,12 +129,19 @@ def _assemble(factors, based):
     faces = {}
     keys = {}
     names = {}  # factor tuple -> cell names in chart order
+    shapes = {}  # dims -> (charts, their names, face table) in this build
     for combo in iproduct(*[list(K.all_cells()) for K in factors]):
         dims = tuple(d for d, _ in combo)
         xs = tuple(s for _, s in combo)
+        if dims not in shapes:
+            cs = charts(dims)
+            shapes[dims] = (cs, [chart_name(pts) for pts in cs],
+                            _face_table(dims, cs))
+        cs, chart_names, _ = shapes[dims]
+        head = f"[{'|'.join(xs)};"  # cell_name(xs, pts) is head + chart + "]"
         row = names[xs] = []
-        for pts in charts(dims):
-            name = cell_name(xs, pts)
+        for pts, chart in zip(cs, chart_names):
+            name = head + chart + "]"
             row.append(name)
             simplices.setdefault(len(pts) - 1, []).append(name)
             keys[name] = (xs, pts)
@@ -147,7 +149,7 @@ def _assemble(factors, based):
         x_faces = [K.faces[x] for K, x in zip(factors, xs)]
         dims = tuple(K.dim_of[x] for K, x in zip(factors, xs))
         face_rows = {}  # lost -> names row of the face's factors, or None
-        for name, entries in zip(row, _face_table(dims)):
+        for name, entries in zip(row, shapes[dims][2]):
             if not entries:
                 continue
             fcs = []
