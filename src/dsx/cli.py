@@ -30,9 +30,9 @@ from .products import geometric_product, smash, smash_counts
 # level) is predicted to have more cells than this is refused with exit 2
 # before anything is built; so is a `dsx dg reduce --uv-trials` whose
 # dense random map X -> t(X) would have more entries, 2|X|^2.  At some
-# 0.7 KB per cell, the budget is about 0.7 GB: `dsx moore --power 2
-# --coherence 2` peaks near 104 MB at p = 5, where M /\ M has 146,000
-# cells, and near 630 MB at p = 13, where it has 986,960.
+# 0.6 KB per cell, the budget is about 0.6 GB: `dsx moore --power 2
+# --coherence 2` peaks near 100 MB at p = 5, where M /\ M has 146,000
+# cells, and near 600 MB at p = 13, where it has 986,960.
 MAX_CELLS = 1_000_000
 
 
@@ -252,8 +252,8 @@ def _cmd_certify(ns, report):
     L = dio.read_delta(ns.ambient)
     if K.based or L.based:
         raise _CliError("certify expects unbased files", 2)
-    for s in K.dim_of:
-        if L.dim_of.get(s) != K.dim_of[s] or L.faces[s] != K.faces[s]:
+    for s in K.dim_of:  # equal faces, so equal dimensions
+        if L.faces.get(s) != K.faces[s]:
             raise _CliError(f"{s!r} is not a simplex of the ambient file "
                             "with the same faces", 2)
     sub = SubDeltaSet(L, list(K.dim_of))

@@ -22,6 +22,8 @@ raising, so deliberately broken face tables can be built and inspected.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Mapping
 from itertools import combinations
 
 
@@ -57,12 +59,38 @@ def sorted_cells(names, sort_keys):
     return [names[k] for k in order]
 
 
+class Dims(Mapping):
+    """Read-only name -> dimension view of a Delta-set's face table and
+    cell lists, iterated in cell order."""
+
+    __slots__ = ("_faces", "_simplices")
+
+    def __init__(self, faces, simplices):
+        self._faces = faces
+        self._simplices = simplices
+
+    def __getitem__(self, s):
+        return (len(self._faces[s]) or 1) - 1
+
+    def __len__(self):
+        return len(self._faces)
+
+    def __iter__(self):
+        for d in sorted(self._simplices):
+            yield from self._simplices[d]
+
+
 class DeltaSet:
     """Finite Delta-set: per-dimension simplex lists plus a face table.
 
     faces[name] is the tuple (x d_0, ..., x d_n) for an n-simplex x; the
     face entries of vertices are empty tuples.  In a based set a face entry
     may be None, the basepoint, which is not listed among the simplices.
+
+    No dimension table is stored: `dim_of` is a read-only `Dims` view that
+    reads a cell's dimension off its face tuple, (len(faces[s]) or 1) - 1,
+    and lists the cells in cell order.  Code that runs once per cell reads
+    face lengths, or tests `s in K.faces`, instead of making a view.
 
     The set adopts the `faces` and `sort_keys` dicts it is given without
     copying them, so they must not be changed afterwards.
@@ -73,8 +101,8 @@ class DeltaSet:
     kept.  They are shared by every caller and must not be mutated.
     """
 
-    __slots__ = ("simplices", "faces", "dim_of", "top_dim", "based",
-                 "_sort_keys", "_chains", "__weakref__")
+    __slots__ = ("simplices", "faces", "top_dim", "based", "_sort_keys",
+                 "_chains", "__weakref__")
 
     def __init__(self, simplices, faces, sort_keys=None, based=False):
         """simplices: dict dim -> iterable of names; faces: name -> tuple.
@@ -92,37 +120,46 @@ class DeltaSet:
         self._chains = {}
         self.based = based
         self.simplices = {}
-        self.dim_of = {}
+        # No name -> dimension table: checked by ascending dimension, a face
+        # listed one dimension down has its completed face tuple.  A face
+        # listed higher up, or a name listed in two dimensions, fails a face
+        # count later; one listed nowhere is a stray entry.
         for d in sorted(simplices):
             names = sorted_cells(simplices[d], keyed)
             if not names:
                 continue
+            if len(set(names)) != len(names):
+                s = Counter(names).most_common(1)[0][0]
+                raise ValueError(f"duplicate simplex identifier {s!r}")
             self.simplices[d] = tuple(names)
             for s in names:
-                if s in self.dim_of:
-                    raise ValueError(f"duplicate simplex identifier {s!r}")
-                self.dim_of[s] = d
-        self.top_dim = max(self.simplices) if self.simplices else -1
-        for s, d in self.dim_of.items():
-            fs = faces.get(s, ())
-            if d > 0 and len(fs) != d + 1:
-                raise ValueError(f"simplex {s!r} of dim {d} has {len(fs)} faces")
-            for f in fs:
-                if self.dim_of.get(f) != d - 1 and (f is not None or
-                                                    not based):
+                fs = faces.get(s, ())
+                if d > 0 and len(fs) != d + 1:
                     raise ValueError(
-                        f"face {f!r} of {s!r} is not a simplex of dim {d - 1}")
-            if not d:
-                faces[s] = ()
-            elif type(fs) is not tuple:
-                faces[s] = tuple(fs)
-        if len(faces) != len(self.dim_of):
-            stray = [s for s in faces if s not in self.dim_of]
+                        f"simplex {s!r} of dim {d} has {len(fs)} faces")
+                for f in fs:  # a (d - 1)-cell has d faces, or none at d = 1
+                    ffs = faces.get(f)
+                    if (f is not None or not based) and (
+                            ffs is None or (len(ffs) or 1) != d):
+                        raise ValueError(f"face {f!r} of {s!r} is not a "
+                                         f"simplex of dim {d - 1}")
+                if not d:
+                    faces[s] = ()
+                elif type(fs) is not tuple:
+                    faces[s] = tuple(fs)
+        self.top_dim = max(self.simplices) if self.simplices else -1
+        if len(faces) != sum(map(len, self.simplices.values())):
+            declared = set().union(*self.simplices.values())
+            stray = [s for s in faces if s not in declared]
             raise ValueError(f"face entries for undeclared simplices "
                              f"{stray[:3]}")
         self.faces = faces
 
     # -- basic queries ----------------------------------------------------
+
+    @property
+    def dim_of(self):
+        return Dims(self.faces, self.simplices)
 
     def cells(self, d):
         return self.simplices.get(d, ())
@@ -285,7 +322,7 @@ class SubDeltaSet:
     def __init__(self, parent, members):
         members = frozenset(members)
         for s in members:
-            if s not in parent.dim_of:
+            if s not in parent.faces:
                 raise ValueError(f"{s!r} is not a simplex of the parent")
             for f in parent.faces[s]:
                 if f is not None and f not in members:
@@ -299,9 +336,8 @@ class SubDeltaSet:
         faces = {}
         keys = {}
         for s in self.members:
-            d = self.parent.dim_of[s]
-            simplices.setdefault(d, []).append(s)
-            faces[s] = self.parent.faces[s]
+            fs = faces[s] = self.parent.faces[s]
+            simplices.setdefault((len(fs) or 1) - 1, []).append(s)
             keys[s] = self.parent.sort_key(s)
         return DeltaSet(simplices, faces, sort_keys=keys,
                         based=self.parent.based)
@@ -315,7 +351,7 @@ class SubDeltaSet:
 
 def skeleton(K, m):
     """The m-skeleton as a SubDeltaSet (empty for m < 0)."""
-    members = [s for s, d in K.dim_of.items() if d <= m]
+    members = [s for d, s in K.all_cells() if d <= m]
     return SubDeltaSet(K, members)
 
 
@@ -356,11 +392,11 @@ class DeltaMorphism:
                                     f"unbased target")
                     continue
                 want = (None,) * (d + 1) if d else ()
-            elif tgt.dim_of.get(t) != d:
-                problems.append(f"image of {s!r} has wrong dimension")
-                continue
             else:
-                want = tgt.faces[t]
+                want = tgt.faces.get(t)
+                if want is None or (len(want) or 1) - 1 != d:
+                    problems.append(f"image of {s!r} has wrong dimension")
+                    continue
             got = tuple(map(m.get, self.source.faces[s]))
             if got != want:
                 problems.extend(f"face {i} of {s!r} does not commute"
@@ -469,7 +505,7 @@ def pushout(j, f):
     taken = set(C.dim_of).union(s for _, s in outside)
     for d, s in outside:
         name = s
-        if s in C.dim_of:
+        if s in C.faces:
             while name in taken:
                 name = "B:" + name
             taken.add(name)

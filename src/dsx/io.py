@@ -173,7 +173,7 @@ def read_morphism(path):
     tgt = read_delta(os.path.join(base, data["target"]))
     if src.based != tgt.based:
         raise SchemaError("morphism mixes based and unbased Delta-sets")
-    strays = [s for s in raw_map if s not in src.dim_of]
+    strays = [s for s in raw_map if s not in src.faces]
     if strays:
         raise SchemaError(f"morphism file {path}: {strays[:3]} are not "
                           f"simplices of the source")

@@ -21,8 +21,8 @@ from .delta import DeltaSet, DeltaMorphism, identity_morphism, pushout, \
     standard
 from .based import based_quotient, finite_model, basepoint_name
 from .products import (smash, n_ary_smash, cell_name, cell_data,
-                       chart_morphism, slice_inclusion, smash_morphism,
-                       smash_morphism_left)
+                       chart_name, named_chart_cell, chart_morphism,
+                       slice_inclusion, smash_morphism, smash_morphism_left)
 from .moves import ExpansionCertificate, Move, cylinder_inclusions
 from .homology import certify_moore, is_homology_iso
 
@@ -286,52 +286,71 @@ def symmetric_power_of(X, i):
     """The orbit Delta-set X^(/\\ i) / Sigma_i.
 
     Returns (P, orbit_map, W) where W is the smash power and orbit_map is
-    the morphism W -> P sending each cell to its orbit.  Building it checks,
-    cell by cell, that the projected faces of every member of an orbit are
-    the faces of the orbit: a mismatch would mean the action fails to
-    commute with faces and raises ValueError.  W and orbit_map are returned
-    for inspection only; PowerSystem keeps P alone, so that W, the largest
-    object on the way, is freed once P is built.
+    the morphism W -> P sending each cell to its orbit.  W and orbit_map
+    are returned for inspection only; PowerSystem keeps P alone, so that
+    W, the largest object on the way, is freed once P is built.
 
     An orbit is named "O" + the name of its least member, which
     _orbit_rep finds by sorting the member's slots by (factor, chart
-    column).  W lists each dimension in the order of its sort keys
-    (factors, chart), the order that sort minimises in, so the least member
-    of an orbit is its first member in one pass over W: that member names
-    the orbit, and every later member takes the name the orbit map already
-    gives its representative.  If the representative was not met first,
-    the pass raises ValueError rather than misname a cell.
+    column).  That sort reads only how the factors compare, so one pass
+    over W, in W's order, calls _orbit_rep once per factor pattern (the
+    ranks of the factors, (1, 0) for xs[0] > xs[1]) and chart, and caches
+    the representative's pattern and chart name.  W lists each dimension
+    in the order of its sort keys (factors, chart), the order that sort
+    minimises in, so the least member of an orbit is its first member in
+    the pass: it names the orbit, and the orbit's faces are its projected
+    faces.  Every later member finds the orbit name under its
+    representative's W name (the sorted factors' name prefix and the
+    cached chart name) in the orbit map, and its projected faces must be
+    the orbit's: a mismatch would mean the action fails to commute with
+    faces.  Both failures raise ValueError, so every face of orbit_map is
+    checked in the pass and the morphism is not validated again.
     """
     if i < 1:
         raise ValueError("power index must be >= 1")
     if i == 1:
         return X, identity_morphism(X), X
     W = n_ary_smash([X] * i)
-    # One pass over W in its order, dimension ascending, so a cell's faces
-    # have their orbits named before the cell; an orbit's least member
-    # also gives it its dimension, sort key and projected faces.
+    # dimension ascending, so a cell's faces have their orbits named
+    # before the cell
     orbit_map = {}
     simplices = {}
     faces = {}
     keys = {}
+    # (factor pattern, chart) -> () for a least member, else the pattern
+    # and chart name of its representative
+    reps = {}
+    xs_seen = None
     for d, s in W.all_cells():
-        key = cell_data(W, s)
-        rep = _orbit_rep(key)
-        if rep == key:
+        key = xs, pts = cell_data(W, s)
+        if xs != xs_seen:  # W lists each factor tuple's cells together
+            xs_seen, ranked = xs, sorted(set(xs))
+            pattern = tuple(map(ranked.index, xs))
+        k = pattern, pts
+        hit = reps.get(k)
+        if hit is None:
+            rep = _orbit_rep(k)
+            hit = reps[k] = () if rep == k else (rep[0], chart_name(rep[1]))
+        projected = tuple(map(orbit_map.get, W.faces[s]))
+        if not hit:
             name = orbit_map[s] = "O" + s
             simplices.setdefault(d, []).append(name)
-            keys[name] = rep
-            if d > 0:
-                faces[name] = tuple(map(orbit_map.get, W.faces[s]))
+            keys[name] = key
+            faces[name] = projected
             continue
-        name = orbit_map.get(cell_name(*rep))
+        rep_pattern, chart = hit
+        least = named_chart_cell([ranked[r] for r in rep_pattern], chart)
+        name = orbit_map.get(least)
         if name is None:
-            raise ValueError(f"the least member {rep!r} of the orbit of "
+            raise ValueError(f"the least member {least!r} of the orbit of "
                              f"{s!r} does not come before it in W")
+        if faces[name] != projected:
+            raise ValueError(f"the faces of {s!r} go to {projected!r}, not "
+                             f"to those of its orbit {name!r}")
         orbit_map[s] = name
     P = DeltaSet(simplices, faces, sort_keys=keys, based=True)
     del simplices  # P lists its cells in tuples of its own
-    return P, DeltaMorphism(W, P, orbit_map), W
+    return P, DeltaMorphism(W, P, orbit_map, check=False), W
 
 
 class PowerSystem:
@@ -355,8 +374,8 @@ class PowerSystem:
         """(factor tuple, chart) of the orbit representative of a P^i cell."""
         P = self.power(i)
         if i == 1:
-            d = P.dim_of[cell]
-            return (cell,), tuple((k,) for k in range(d + 1))
+            points = len(P.faces[cell]) or 1  # the cell's dimension + 1
+            return (cell,), tuple((k,) for k in range(points))
         return P.sort_key(cell)
 
     def orbit_name(self, i, xs, pts):

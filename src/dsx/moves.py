@@ -57,7 +57,7 @@ class _Cells:
     def __init__(self, K):
         if K.based:
             raise ValueError("moves apply to unbased Delta-sets")
-        self.dim_of = dict(K.dim_of)
+        self.dim_of = {s: d for d, s in K.all_cells()}
         self.faces = dict(K.faces)
         self.cofaces = dict.fromkeys(self.dim_of, 0)
         for fs in self.faces.values():
@@ -242,7 +242,7 @@ def find_collapse_sequence(L, K, budget=100000):
         target = set(K.dim_of)
         base = K
     for s in target:
-        if s not in L.dim_of:
+        if s not in L.faces:
             raise ValueError(f"{s!r} is not a simplex of L")
     # a search node is the table of L minus the collapsed cells; moves
     # never touch the target, so the search succeeds once only it is left.
@@ -277,8 +277,7 @@ def find_collapse_sequence(L, K, budget=100000):
             step = next(stack[-1], None)
         e, i = step
         f = L.faces[e][i]
-        collapse_seq.append(Move("collapse", e, i, L.faces[e],
-                                 L.faces[f] if L.dim_of[f] > 0 else ()))
+        collapse_seq.append(Move("collapse", e, i, L.faces[e], L.faces[f]))
         cells.collapse(e, i)
     expands = [m.inverse() for m in reversed(collapse_seq)]
     cert = ExpansionCertificate(base, expands, L)
@@ -312,7 +311,7 @@ def cone(K):
     faces = {}
     keys = {CONE_POINT: (0,)}
     for d, s in K.all_cells():
-        if cone_name(s) in K.dim_of:
+        if cone_name(s) in K.faces:
             raise ValueError("cone naming collides with simplices of K")
         simplices.setdefault(d, []).append(s)
         faces[s] = K.faces[s]
@@ -379,8 +378,7 @@ def prism_expansion_moves(K, P, interval):
                 e = cell_name((x, edge), pts)
                 e_faces = P.faces[e]
                 f = e_faces[t + 1]
-                f_faces = P.faces[f] if P.dim_of[f] > 0 else ()
-                moves.append(Move("expand", e, t + 1, e_faces, f_faces))
+                moves.append(Move("expand", e, t + 1, e_faces, P.faces[f]))
     return moves
 
 

@@ -81,7 +81,12 @@ def chart_name(pts):
 
 
 def cell_name(factors, pts):
-    return f"[{'|'.join(factors)};{chart_name(pts)}]"
+    return named_chart_cell(factors, chart_name(pts))
+
+
+def named_chart_cell(factors, chart):
+    """cell_name(factors, pts) for the chart named chart_name(pts)."""
+    return f"[{'|'.join(factors)};{chart}]"
 
 
 def cell_data(P, s):
@@ -147,7 +152,7 @@ def _assemble(factors, based):
             keys[name] = (xs, pts)
     for xs, row in names.items():
         x_faces = [K.faces[x] for K, x in zip(factors, xs)]
-        dims = tuple(K.dim_of[x] for K, x in zip(factors, xs))
+        dims = tuple((len(fx) or 1) - 1 for fx in x_faces)
         face_rows = {}  # lost -> names row of the face's factors, or None
         for name, entries in zip(row, shapes[dims][2]):
             if not entries:

@@ -132,6 +132,81 @@ def test_sets_built_from_deep_copies_equal_the_originals(corpus):
         assert A.faces is not B.faces
 
 
+def _accepted_through_a_dimension_table(simplices, faces, based):
+    """The constructor's rules, checked through a name -> dimension dict."""
+    dim_of = {}
+    for d, names in simplices.items():
+        for s in names:
+            if s in dim_of:
+                return False
+            dim_of[s] = d
+    for s, d in dim_of.items():
+        fs = faces.get(s, ())
+        if d > 0 and len(fs) != d + 1:
+            return False
+        if any(dim_of.get(f) != d - 1 and (f is not None or not based)
+               for f in fs):
+            return False
+    return set(faces) <= set(dim_of)
+
+
+def test_constructor_refuses_what_a_dimension_table_refuses():
+    # the constructor reads a face's dimension off its face tuple; it
+    # accepts exactly the tables that checks through a dimension dict
+    # accept, on names repeated within and across dimensions, faces
+    # listed in a higher dimension and stray face entries
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, strategies as st
+    names = st.sampled_from("abcd")
+
+    @given(st.dictionaries(st.integers(0, 3), st.lists(names, max_size=3)),
+           st.dictionaries(names, st.lists(st.none() | names, max_size=4)),
+           st.booleans())
+    @example({0: ["a", "b"], 1: ["c"]}, {"c": ["a", "b"]}, False)
+    @example({1: ["a"], 2: ["b"]}, {"a": [None, None], "b": ["a", None, "a"]},
+             True)
+    @example({0: ["a"], 1: ["b"], 2: ["c"]},
+             {"b": ["a", "a"], "c": ["a", "b", "b"]}, False)
+    @example({1: ["a"]}, {"a": [None, None]}, False)
+    @example({0: ["a", "a"]}, {"b": []}, False)
+    @example({0: ["a"], 1: ["a"]}, {"a": [None, None]}, True)
+    @example({1: ["a"], 2: ["b"]}, {"a": ["b", "b"], "b": ["c"]}, False)
+    @example({0: ["a"], 2: ["b"]}, {"b": ["c", "c", "c"], "c": ["a", "a"]},
+             False)
+    def check(simplices, faces, based):
+        want = _accepted_through_a_dimension_table(simplices, faces, based)
+        try:
+            DeltaSet(simplices, dict(faces), based=based)
+        except ValueError:
+            assert not want
+        else:
+            assert want
+
+    check()
+
+
+def test_dim_of_is_a_view_read_off_the_faces(corpus):
+    # no dimension table is stored; the view lists every cell in cell
+    # order, on unbased and based sets, vertices included
+    assert "dim_of" not in DeltaSet.__slots__
+    based = {"interval": dsx.interval(), "circle": dsx.circle(),
+             "S<3>": dsx.s_bracket(3), "S2": dsx.sphere2(),
+             "M2": dsx.moore_space(2)[0]}
+    for name, K in [*corpus.items(), *based.items()]:
+        want = {s: d for d, s in K.all_cells()}
+        view = K.dim_of
+        got = dict(view)
+        assert got == want and list(got) == list(want), name
+        assert len(view) == len(want) and list(view) == list(want), name
+        assert list(view.items()) == list(want.items()), name
+        assert all(s in view and view.get(s) == d == view[s]
+                   for s, d in want.items()), name
+        for stray in ("no such cell", None):
+            assert stray not in view and view.get(stray) is None, name
+            assert view.get(stray, -1) == -1, name
+    assert any(K.cells(0) for K in based.values())
+
+
 def test_loader_refuses_faces_of_undeclared_simplices_first():
     # checked before the set is built, so this error is reported even
     # where the set would be refused for another reason as well

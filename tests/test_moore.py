@@ -392,6 +392,49 @@ def test_the_orbit_pass_refuses_a_representative_it_has_not_met(
         moore.symmetric_power_of(dsx.sphere2(), 2)
 
 
+def test_the_orbit_pass_names_each_pattern_and_chart_once(monkeypatch):
+    # _orbit_rep reads only how the factors compare, so the pass asks it
+    # once per (factor pattern, chart) among W's sort keys, not per W cell
+    from importlib import import_module
+    moore = import_module("dsx.moore")
+    calls = []
+
+    def counted(key):
+        calls.append(key)
+        return orbit_rep(key)
+
+    orbit_rep = moore._orbit_rep
+    monkeypatch.setattr(moore, "_orbit_rep", counted)
+    W = moore.symmetric_power_of(dsx.moore_space(3)[0], 2)[2]
+    pairs = set()
+    for d, s in W.all_cells():
+        xs, pts = W.sort_key(s)
+        pairs.add((tuple(sorted(set(xs)).index(x) for x in xs), pts))
+    assert W.n_cells() == 52560 and len(pairs) < 400
+    assert len(calls) == len(set(calls)) <= len(pairs)
+
+
+def test_the_orbit_pass_refuses_an_action_not_commuting_with_faces(
+        monkeypatch):
+    # send each non-least member whose shape has a second chart of its
+    # dimension to the orbit of that other chart, an earlier orbit over
+    # the same factors with other faces: refused, never a misnamed cell
+    from importlib import import_module
+    from dsx.products import charts
+    moore = import_module("dsx.moore")
+    orbit_rep = moore._orbit_rep
+
+    def other_chart(key):
+        xs, pts = rep = orbit_rep(key)
+        others = [c for c in charts(pts[-1])
+                  if len(c) == len(pts) and c != pts]
+        return rep if rep == key or not others else (xs, others[0])
+
+    monkeypatch.setattr(moore, "_orbit_rep", other_chart)
+    with pytest.raises(ValueError, match="face"):
+        moore.symmetric_power_of(dsx.sphere2(), 2)
+
+
 def test_power_projection_associativity_generic():
     # the mandated cache bound p - 1 = 2 at p = 3 leaves no room for a
     # triple, so the associativity square is exercised generically on the
