@@ -31,8 +31,8 @@ from .dgred import (GradedMap, ExteriorModule, ModnReduction,
                     OrderTower, point_complex,
                     zero_map, identity_map, scalar_map, differential_map,
                     hom_differential, is_chain_map, shift, cone_dg,
-                    cylinder_dg, reduce_mod_n, uv_identities,
-                    extend_over_mod_n, cone_exterior, order_tower)
+                    cylinder_dg, reduce_mod_n, extend_over_mod_n,
+                    cone_exterior, order_tower)
 from .moore import (interval, circle, sphere2, s_bracket, psi, nabla,
                     psi_quotient_square, based_cone, hat_circle,
                     hat_circle_homotopy, hat_circle_expansion_certificate,

@@ -15,7 +15,7 @@ import time
 
 from . import io as dio
 from .delta import SubDeltaSet, validate
-from .dgred import order_tower, reduce_mod_n, uv_identities
+from .dgred import order_tower, reduce_mod_n
 from .homology import PRIME_LIMIT, bockstein, certify_moore, homology_of, \
     homology_table, is_prime
 from .moore import MooreSystem, moore_counts
@@ -28,11 +28,10 @@ from .products import geometric_product, smash, smash_counts
 # whose M^(/\ i), a `dsx product`, `smash`, `cone` or `cylinder` whose
 # output, or a `dsx dg` whose largest complex (t(X), or the top tower
 # level) is predicted to have more cells than this is refused with exit 2
-# before anything is built; so is a `dsx dg reduce --uv-trials` whose
-# dense random map X -> t(X) would have more entries, 2|X|^2.  At some
-# 0.6 KB per cell, the budget is about 0.6 GB: `dsx moore --power 2
-# --coherence 2` peaks near 100 MB at p = 5, where M /\ M has 146,000
-# cells, and near 600 MB at p = 13, where it has 986,960.
+# before anything is built.  At some 0.6 KB per cell, the budget is about
+# 0.6 GB: `dsx moore --power 2 --coherence 2` peaks near 100 MB at p = 5,
+# where M /\ M has 146,000 cells, and near 600 MB at p = 13, where it has
+# 986,960.
 MAX_CELLS = 1_000_000
 
 
@@ -70,8 +69,6 @@ def build_parser():
                     default="text", help="stdout rendering")
     ap.add_argument("--report", metavar="PATH",
                     help="also write the structured report to PATH")
-    ap.add_argument("--seed", type=int, default=0,
-                    help="seed for randomized property-test sampling")
     sub = ap.add_subparsers(dest="command")
 
     p = sub.add_parser("validate", help="check a Delta-set file")
@@ -132,7 +129,6 @@ def build_parser():
     q = dgsub.add_parser("reduce", help="mod-n reduction t(X)")
     q.add_argument("file")
     q.add_argument("--n", type=_at_least(1), required=True)
-    q.add_argument("--uv-trials", type=_at_least(0), default=0)
     q = dgsub.add_parser("tower", help="n-order witness tower")
     q.add_argument("file")
     q.add_argument("--n", type=_at_least(1), required=True)
@@ -165,6 +161,8 @@ def _homology_args(ns):
         if ns.p is None:
             raise _CliError("--coeff Fp needs --p", 2)
         return "F", ns.p
+    if ns.p is not None:
+        raise _CliError(f"--p needs --coeff Fp, not --coeff {ns.coeff}", 2)
     return ns.coeff, None
 
 
@@ -292,8 +290,8 @@ def _cmd_certify(ns, report):
 
 
 def _cmd_homology(ns, report):
-    K = dio.read_delta(ns.file)
     coeff, p = _homology_args(ns)
+    K = dio.read_delta(ns.file)
     reduced = ns.reduced or K.based
     groups = homology_of(K, coeff=coeff, p=p, reduced=reduced)
     report["tables"]["homology"] = _table(homology_table(groups))
@@ -366,15 +364,8 @@ def _cmd_dg(ns, report):
     if ns.dg_command == "reduce":
         X = dio.read_complex(ns.file)
         _refuse_dg_past_budget(X, 1)
-        if ns.uv_trials:  # a trial's dense map X -> t(X): 2|X|^2 entries
-            _refuse_past_budget([2 * X.total_rank() ** 2],
-                                "dense map X -> t(X) of a uv trial")
         red = reduce_mod_n(X, ns.n)
         ok = _check(report, "exterior-invariants", not red.ext.check())
-        if ns.uv_trials:
-            res = uv_identities(red, X, trials=ns.uv_trials, seed=ns.seed)
-            ok = _check(report, "uv-identities", res["pass"],
-                        trials=res["trials"]) and ok
         report["tables"]["t_ranks"] = [red.complex.rank(k) for k in
                                        range(red.complex.lo,
                                              red.complex.hi + 1)]

@@ -1,6 +1,5 @@
 """Chain-level dg constructions: shifts, cones, cylinders, the exterior
-mod-n reduction t(X), the u/v adjunction identities, and n-order witness
-towers.
+mod-n reduction t(X), the u/v adjunction maps, and n-order witness towers.
 
 Every cone differential is built by homology.mapping_cone_complex, the
 same code that decides the coherence verdicts; the cylinder of f : X -> Y
@@ -13,20 +12,36 @@ Sign conventions are pinned by the universal-cycle relations rather than by
 any textbook choice, and every constructor asserts its defining relation at
 build time:
 
-    hom differential   d(f) = d_Y o f - (-1)^{|f|} f o d_X
-    cone               d(u) = i o f,  p o (i, u) = (0, 1_X)
-    cylinder           d(s) = 1 - j o q
-    reduction          d(eta) = 0,  d(g) = n * eta,
-                       r o eta = 1,  p o g = 1,  eta o r + g o p = 1
+    hom differential   D(f) = d_Y o f - (-1)^{|f|} f o d_X
+    cone               D(u) = i o f,  p o (i, u) = (0, 1_X)
+    cylinder           D(s) = 1 - j o q
+    reduction          D(eta) = 0,  D(g) = n * eta,  p o eta = 0,
+                       p o g = 1,  r o eta = 1,  eta o r + g o p = 1
 
-The exterior operator of t(X) is e = g o r; it satisfies e o e = 0 and
-d o e + e o d = n (that is, d(e) = n in the hom complex), which is exactly
+t(X) is the cone of f = n * 1_X with eta = i and g = u, so cone_dg asserts
+the first four reduction relations and reduce_mod_n the last two.  The
+exterior operator of t(X) is e = g o r; it satisfies e o e = 0 and
+d o e + e o d = n (that is, D(e) = n in the hom complex), which is exactly
 the Z[e]-module structure the order towers need.
+
+The adjunction Hom(Y, t(X)) = (Z[e] (x) Hom)(Y, X) is proved from these
+relations, for every Y, using only the Leibniz rule
+D(f o h) = D(f) o h + (-1)^{|f|} f o D(h).  Here u(phi, psi) =
+eta o phi + g o psi and v(a) = (r o a, p o a), and the differential of
+(Z[e] (x) Hom)(Y, X) is (phi, psi) -> (D phi + n psi, -D psi):
+
+    r o g = 0      r = r o (eta o r + g o p) = r + (r o g) o p, so
+                   (r o g) o p = 0 and r o g = (r o g) o (p o g) = 0
+    v o u = 1      v(u(phi, psi)) = (r eta phi + r g psi,
+                                     p eta phi + p g psi) = (phi, psi),
+                   by r eta = 1, r g = 0, p eta = 0 and p g = 1
+    u o v = 1      u(v(a)) = (eta o r + g o p) o a = a
+    u chain map    D(u(phi, psi)) = eta D phi + n eta psi - g D psi
+                   = u(D phi + n psi, -D psi), by D(eta) = 0, D(g) = n eta
+                   and |g| = 1
 """
 
 from __future__ import annotations
-
-from random import Random
 
 from . import exact
 from .homology import ChainComplex, mapping_cone_complex
@@ -336,8 +351,11 @@ class ModnReduction:
 
 
 def reduce_mod_n(X, n):
-    """The mod-n reduction t(X), asserting d(eta) = 0, d(g) = n * eta,
-    r o eta = 1, p o g = 1 and eta o r + g o p = 1."""
+    """The mod-n reduction t(X) = cone(n * 1_X), with eta = i and g = u.
+
+    cone_dg asserts D(eta) = 0, D(g) = n * eta, p o eta = 0 and p o g = 1;
+    this asserts r o eta = 1 and eta o r + g o p = 1.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     res = cone_dg(scalar_map(X, n))
@@ -347,21 +365,15 @@ def reduce_mod_n(X, n):
     r = block_map(t, X, 0, lambda k: [(0, 0, _eye(X.rank(k)))])
     if r.compose(eta) != identity_map(X):
         raise AssertionError("reduction: r o eta != 1")
-    if p.compose(g) != identity_map(X):
-        raise AssertionError("reduction: p o g != 1")
     if eta.compose(r) + g.compose(p) != identity_map(t):
         raise AssertionError("reduction: eta o r + g o p != 1")
-    if not hom_differential(eta).is_zero():
-        raise AssertionError("reduction: d(eta) != 0")
-    if hom_differential(g) != eta.scale(n):
-        raise AssertionError("reduction: d(g) != n * eta")
     e = g.compose(r)
     ext = ExteriorModule(t, e, n)
     return ModnReduction(ext, eta, g, r, p, res.pbar, n)
 
 
 # ---------------------------------------------------------------------------
-# the u/v adjunction identities
+# the u/v adjunction maps
 # ---------------------------------------------------------------------------
 
 def u_of(red, phi, psi):
@@ -377,54 +389,17 @@ def v_of(red, a):
     """v(a) = (r o a, p o a): the inverse of u.
 
     With the sign-free retractions (p o g = +1) fixed by reduce_mod_n, the
-    e-component of the inverse is +p o a; u and v are then mutually inverse
-    chain isomorphisms, which is the tested identity.
+    e-component of the inverse is +p o a; the module docstring proves that
+    u and v are mutually inverse chain isomorphisms.
     """
     return red.r.compose(a), red.p.compose(a)
 
 
 def pair_differential(red, phi, psi):
     """Differential of 1 (x) phi + e (x) psi in Z[e] (x) Hom(Y, X):
-    (d phi + n psi, -d psi)."""
+    (D phi + n psi, -D psi)."""
     return (hom_differential(phi) + psi.scale(red.n),
             hom_differential(psi).scale(-1))
-
-
-def random_graded_map(rng, source, target, degree, bound=4):
-    """Entries drawn from [-bound, bound], degree by degree, row-major."""
-    return GradedMap(source, target, degree, {
-        k: {(r, c): rng.randint(-bound, bound)
-            for r in range(target.rank(k + degree))
-            for c in range(source.rank(k))}
-        for k in range(source.lo, source.hi + 1)})
-
-
-def uv_identities(red, Y, trials=100, seed=0):
-    """Randomized exact check that u and v are mutually inverse chain maps
-    between Hom(Y, t(X)) and (Z[e] (x) Hom)(Y, X), for the mod-n
-    reduction red = reduce_mod_n(X, n)."""
-    rng = Random(seed)
-    X, t = red.eta.source, red.complex
-    checked = 0
-    for _ in range(trials):
-        deg = rng.randint(-2, 3)
-        phi = random_graded_map(rng, Y, X, deg)
-        psi = random_graded_map(rng, Y, X, deg - 1)
-        a = random_graded_map(rng, Y, t, deg)
-        # v o u = id
-        phi2, psi2 = v_of(red, u_of(red, phi, psi))
-        if phi2 != phi or psi2 != psi:
-            return {"pass": False, "reason": "v o u != id", "trials": checked}
-        # u o v = id
-        if u_of(red, *v_of(red, a)) != a:
-            return {"pass": False, "reason": "u o v != id", "trials": checked}
-        # u is a chain map: u(d(phi, psi)) = d(u(phi, psi))
-        dphi, dpsi = pair_differential(red, phi, psi)
-        if u_of(red, dphi, dpsi) != hom_differential(u_of(red, phi, psi)):
-            return {"pass": False, "reason": "u not a chain map",
-                    "trials": checked}
-        checked += 1
-    return {"pass": True, "trials": checked}
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,30 @@ def test_cli_homology_coefficients(tmp_path):
     assert status == 2
 
 
+@pytest.mark.parametrize("coeff", [[], ["--coeff", "Z"], ["--coeff", "Q"]],
+                         ids=["default", "Z", "Q"])
+def test_cli_homology_refuses_a_prime_without_fp(tmp_path, coeff):
+    # --p names the field of --coeff Fp; over Z or Q it would be ignored
+    path = _write(tmp_path, "c.json", dsx.cycle_graph(3))
+    status, report = run(["homology", path, "--p", "3"] + coeff,
+                         stream=_io.StringIO())
+    assert status == 2
+    assert "--p needs --coeff Fp" in report["error"]
+
+
+def test_cli_has_no_seed_and_no_uv_trials(tmp_path):
+    # the u/v identities are proved in dgred's docstring, not sampled, so
+    # nothing is left for a seed or a trial count to steer
+    K = _write(tmp_path, "d2.json", dsx.standard("simplex", 2))
+    X = tmp_path / "x.json"
+    dio.write_complex(dsx.point_complex(0, 1), X)
+    for argv in (["--seed", "1", "validate", K],
+                 ["dg", "reduce", str(X), "--n", "2", "--uv-trials", "1"]):
+        status, report = run(argv, stream=_io.StringIO())
+        assert status == 2
+        assert report == {"error": "argument parsing"}
+
+
 def test_cli_homology_over_a_large_prime(tmp_path):
     # a prime near 10**18 is parsed at once, not by trial division
     path = _write(tmp_path, "c.json", dsx.cycle_graph(3))
@@ -377,7 +401,7 @@ def test_cli_dg(tmp_path):
     dio.write_complex(C, tmp_path / "x.json")
     out = _io.StringIO()
     status, report = run(["dg", "reduce", str(tmp_path / "x.json"),
-                          "--n", "2", "--uv-trials", "10"], stream=out)
+                          "--n", "2"], stream=out)
     assert status == 0
     assert all(c["verdict"] == "PASS" for c in report["checks"])
     status, report = run(["dg", "tower", str(tmp_path / "x.json"),
@@ -582,12 +606,10 @@ def _no_dg(monkeypatch):
 @pytest.mark.parametrize("ranks, argv", [
     # t(X) has 2|X| cells, tower level k has 2|X| * 3^(k - 1)
     ([10 ** 7], ["reduce", "--n", "2"]),
-    ([500_001], ["reduce", "--n", "2", "--uv-trials", "3"]),
+    ([500_001], ["reduce", "--n", "2"]),                # 1,000,002 cells
     ([10 ** 7], ["tower", "--n", "2", "--k", "1"]),
     ([1, 1], ["tower", "--n", "2", "--k", "13"]),       # 2,125,764 cells
     ([1], ["tower", "--n", "2", "--k", str(10 ** 18)]),
-    # a uv trial's dense map X -> t(X) has 2|X|^2 entries: 1,002,528
-    ([708], ["reduce", "--n", "2", "--uv-trials", "1"]),
 ])
 def test_cli_refuses_dg_past_the_cell_budget(tmp_path, monkeypatch, ranks,
                                              argv):
@@ -602,14 +624,13 @@ def test_cli_refuses_dg_past_the_cell_budget(tmp_path, monkeypatch, ranks,
 @pytest.mark.parametrize("ranks, n, k", [
     ((4, 5, 3), 2, 3), ((3, 3, 2), 3, 3),    # the benchmark's: 216 and 144
     ((1, 1), 2, 12),                         # 708,588 cells
-    ((707,), 2, 6),        # 999,698 uv-trial entries; 343,602 cells
+    ((707,), 2, 6),                          # 343,602 cells
 ])
 def test_cli_dg_budget_admits_the_benchmark_towers(tmp_path, monkeypatch,
                                                    ranks, n, k):
     path = _complex_file(tmp_path, ranks)
     _no_dg(monkeypatch)
     for argv in (["reduce", "--n", str(n)],
-                 ["reduce", "--n", str(n), "--uv-trials", "1"],
                  ["tower", "--n", str(n), "--k", str(k)]):
         with pytest.raises(AssertionError, match="was built"):
             run(["dg", argv[0], path] + argv[1:], stream=_io.StringIO())
@@ -627,12 +648,12 @@ DG_COMPLEXES = {
                "boundaries": {"0": [[2, 4]], "1": [[2], [-1]]}},
 }
 DG_REPORT_DIGESTS = {
-    "reduce a.json --n 2 --uv-trials 20":
-        "7f9d6c736d2a0f895fc41fa926cbb213b2ba1d587fe06e16ec307942a155f8ad",
+    "reduce a.json --n 2":
+        "007a30afc3ec773e004669c602c1902686cf6a671019f3a7c07dc8592532031c",
     "tower a.json --n 3 --k 3":
         "7eba8e84420d94094ca1bdc0913f7146f368b0ba5821b527d8dad29e6e14856d",
-    "reduce b.json --n 3 --uv-trials 20":
-        "56cfc972f3a01c105d9ee3b16df2bb5619a760751800dc934aa96dbba41b1c88",
+    "reduce b.json --n 3":
+        "613e135a8d8df47310f62af029d8690c012f8c48ba35d443c43d0f3ebc51805a",
     "tower b.json --n 2 --k 3":
         "bab4fc4968d880cc7f5e56036fd46f72d63c4f7459c9a748c47a52a6f4087793",
 }

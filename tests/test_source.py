@@ -26,6 +26,22 @@ def test_every_import_is_used(path):
     assert sorted(imported - used) == []
 
 
+def test_no_module_imports_random():
+    # every dsx verdict is exact and deterministic; sampling belongs in
+    # the tests
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            assert "random" not in [n.split(".")[0] for n in names], path
+
+
 def test_the_cli_loads_openssl_only_for_certificates():
     # hashlib loads OpenSSL (3.6 MB resident); only the certificate
     # digests need it, so a moore or homology run never pays for it
