@@ -21,14 +21,17 @@ complex is consumed by its reduction, so its boundary entries are never
 alive twice.  `chain_complex` builds a fresh complex on every call.  A
 mapping cone built only to be reduced is consumed the same way.
 
-Where d o d = 0 is checked: exact.morse_reduce checks every complex it
-reduces, on the SparseMat columns it builds anyway, before its first
-pivot and before any reduction mod q.  So a Delta-set's complex, which
-is built only to be reduced (`reduction_of`), is built unchecked, and
-its reduction checks it.  `chain_complex`'s complexes,
-residues and every other ChainComplex built with check=True (the
-default) are checked on construction by `ChainComplex.verify`.  Both
-checks share one kernel, `exact.composite_vanishes`.
+Where d o d = 0 is checked: once per complex, by exact.composite_vanishes.
+exact.morse_reduce checks every complex it reduces, on the SparseMat
+columns it builds anyway, before its first pivot and any reduction mod
+q, so a complex built to be reduced is built unchecked: a Delta-set's
+(`reduction_of`), and a verdict's cone, whose blocks are its source,
+G = pi o F and the target's residue.  `ChainComplex.verify` checks the
+rest on construction: residues (the elimination's self-check), file
+input (`complex_from_matrices`) and `chain_complex`.  Skipping the two
+repeats left would need a new parameter or default: `bockstein`
+reduces a checked residue over Z/p^2, and `ChainComplex.reduction`
+re-checks a checked complex (for tests and `is_quasi_iso`).
 
 Isomorphism verdicts for chain maps go through acyclicity of the mapping
 cone, which needs ranks and invariant factors only.  The cone of
@@ -40,8 +43,8 @@ ever receive multiples of CT columns, so CT's pivots, in their recorded
 order, are valid unit pivots of cone(F); once they are done, the cone is
 literally cone(CS, R, G).  Equivalently, pi is a chain homotopy
 equivalence over Z, so cone(G) is chain homotopy equivalent to cone(F)
-(Harker-Mischaikow-Mrozek-Nanda, FoCM 14, 2014).  The small cone is built
-with its d o d = 0 check, which also checks that G is a chain map.
+(Harker-Mischaikow-Mrozek-Nanda, FoCM 14, 2014).  The small cone's
+reduction checks its d o d = 0, which also checks that G is a chain map.
 
 The mod-p Bockstein is the connecting map of 0 -> Z/p -> Z/p^2 -> Z/p -> 0.
 It is natural, so pi commutes with it, and it is read off the residue
@@ -418,8 +421,8 @@ def mapping_cone_complex(CS, CT, mats):
     matrices mats[k] : CS_k -> CT_k; acyclic iff F is a homology iso.
 
     Degree k is CT_k (+) CS_{k-1} with d(y, x) = (dy + Fx, -dx), for k from
-    min(CT.lo, CS.lo + 1) to max(CT.hi, CS.hi + 1).  Its d o d = 0 check
-    also checks that F is a chain map (a ValueError otherwise).
+    min(CT.lo, CS.lo + 1) to max(CT.hi, CS.hi + 1).  Unchecked: its
+    reduction checks it, and cone_dg checks that F is a chain map.
     """
     lo = min(CT.lo, CS.lo + 1)
     hi = max(CT.hi, CS.hi + 1)
@@ -433,7 +436,7 @@ def mapping_cone_complex(CS, CT, mats):
         for (r, c), v in CS.d.get(k - 1, {}).items():
             coo[(off_row + r, off_col + c)] = -v
         d[k] = coo
-    return ChainComplex(lo, hi, ranks, d)
+    return ChainComplex(lo, hi, ranks, d, check=False)
 
 
 def is_quasi_iso(CS, CT, mats, coeff="Z", p=None):
@@ -446,7 +449,7 @@ def is_quasi_iso(CS, CT, mats, coeff="Z", p=None):
 
 def _cone_is_acyclic(CS, R, mats, coeff, p):
     """Whether cone(CS, R.residue, R.carry(mats)) is acyclic; the cone is
-    built only to be reduced, so its reduction consumes it."""
+    built only to be reduced, so its reduction checks and consumes it."""
     cone = mapping_cone_complex(CS, R.residue, R.carry(mats))
     return is_acyclic(Reduction(cone, cone.d), coeff=coeff, p=p)
 
@@ -455,11 +458,12 @@ def is_homology_iso(f, coeff="Z", p=None, reduced=None):
     """Whether a (based) Delta-morphism induces an isomorphism on homology
     in every degree, decided by acyclicity of its mapping cone.  The
     target enters through its cached Reduction (`reduction_of`), so its
-    full complex is built at most once, and only to be reduced."""
+    full complex is built at most once, and only to be reduced; the
+    source's is built unchecked, and the cone's reduction checks it."""
     if reduced is None:
         reduced = f.source.based
     R = reduction_of(f.target, reduced)
-    CS = chain_complex(f.source, reduced)
+    CS = _build_chain_complex(f.source, reduced)
     return _cone_is_acyclic(CS, R, _map_matrices(f, reduced), coeff, p)
 
 

@@ -376,11 +376,11 @@ def test_order_tower(n, k):
     X = point_complex(0, 1)
     tower = dsx.order_tower(X, n, k)
     assert len(tower.levels) == k
-    assert tower.verify()
     for lvl in tower.levels:
         e = lvl.e
         assert e.compose(e).is_zero()
         assert dsx.hom_differential(e) == dsx.scalar_map(lvl.complex, n)
+        assert lvl.complex.verify() == []
     # the recorded homotopies are the exterior operators
     assert tower.homotopies() == [lvl.e for lvl in tower.levels]
 
@@ -388,9 +388,26 @@ def test_order_tower(n, k):
 def test_order_tower_acyclic_input(rng):
     X = dsx.cone_dg(dsx.identity_map(random_three_term(rng))).cone
     tower = dsx.order_tower(X, 2, 3)
-    assert tower.verify()
     for lvl in tower.levels:
+        assert not lvl.check()
+        assert lvl.complex.verify() == []
         assert dsx.is_acyclic(lvl.complex)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_order_tower_checks_each_level_once(monkeypatch, k):
+    # t(X) and the two modules of each further level, t(K) and the cone,
+    # are each checked once, by the ExteriorModule constructor
+    checks = []
+    check = dsx.ExteriorModule.check
+
+    def counting_check(ext):
+        checks.append(ext)
+        return check(ext)
+
+    monkeypatch.setattr(dsx.ExteriorModule, "check", counting_check)
+    dsx.order_tower(point_complex(0, 1), 2, k)
+    assert len(checks) == 2 * k - 1
 
 
 def test_order_tower_rejects_zero_levels():

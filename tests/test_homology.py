@@ -123,6 +123,41 @@ def test_reduction_of_verifies_the_residue_only(monkeypatch):
     assert verified == [R.residue]
 
 
+def test_a_coherence_verdict_verifies_residues_only(monkeypatch):
+    # the source's complex and the cone are built unchecked: the cone's
+    # reduction checks both, and the target's reduction checks its
+    # complex, so ChainComplex.verify runs only on residues
+    from importlib import import_module
+    hom = import_module("dsx.homology")
+    f = dsx.MooreSystem(3).coherence_map(2)
+    verified, residues = [], []
+    verify, init = hom.ChainComplex.verify, hom.Reduction.__init__
+
+    def recording_verify(C):
+        verified.append(C)
+        return verify(C)
+
+    def recording_init(R, C, boundaries):
+        init(R, C, boundaries)
+        residues.append(R.residue)
+
+    monkeypatch.setattr(hom.ChainComplex, "verify", recording_verify)
+    monkeypatch.setattr(hom.Reduction, "__init__", recording_init)
+    assert dsx.is_homology_iso(f)
+    assert verified
+    assert all(any(C is W for W in residues) for C in verified)
+
+
+def test_is_quasi_iso_refuses_a_map_that_is_not_a_chain_map():
+    # Z --2--> Z in degrees 1, 0 on both sides, with F_1 = 1 and F_0 = 0:
+    # d F_1 = 2 != 0 = F_0 d.  CT's one entry is no unit, so pi is the
+    # identity, and the check on the cone's columns in morse_reduce is
+    # what refuses it
+    C = dsx.complex_from_matrices(0, 1, {0: 1, 1: 1}, {1: [[2]]})
+    with pytest.raises(ValueError, match="d o d"):
+        dsx.is_quasi_iso(C, C, {1: {(0, 0): 1}})
+
+
 def test_morse_reduce_checks_d_squared_before_reducing():
     # d_1 d_2 = 2 != 0; over Z/2 that product would vanish, so the check
     # runs on the integral entries, before they are reduced mod q
@@ -451,7 +486,8 @@ def test_unreduced_map_into_an_unbased_set_drops_the_basepoint():
 
 def test_map_matrices_fit_the_complexes(corpus, moore3):
     # the chain map's matrices are sized from the morphism alone; they fit
-    # the complexes of its ends, and its cone checks that it is a chain map
+    # the complexes of its ends, and its cone squares to zero, so it is a
+    # chain map
     from dsx.homology import _map_matrices
     pt = corpus["point"]
     v = dsx.DeltaSet({0: ["v"]}, {}, based=True)
@@ -479,7 +515,7 @@ def test_map_matrices_fit_the_complexes(corpus, moore3):
             if f.source.based == f.target.based or not reduced:
                 # (a based set's reduced chains have no augmentation to
                 # commute with that of an unbased target)
-                dsx.mapping_cone_complex(CS, CT, mats)
+                assert dsx.mapping_cone_complex(CS, CT, mats).verify() == []
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -410,6 +410,30 @@ def test_cli_dg(tmp_path):
     assert report["checks"][0]["levels"] == 4
 
 
+def test_cli_dg_checks_no_invariant_after_construction(tmp_path,
+                                                      monkeypatch):
+    # each ExteriorModule checks itself when built; the reports rerun no
+    # check: t(X) is one module, and a tower of k levels is built from
+    # 2k - 1 of them
+    dio.write_complex(dsx.point_complex(0, 1), tmp_path / "x.json")
+    checks = []
+    check = dsx.ExteriorModule.check
+
+    def counting_check(ext):
+        checks.append(ext)
+        return check(ext)
+
+    monkeypatch.setattr(dsx.ExteriorModule, "check", counting_check)
+    for argv, built in ((["reduce", "--n", "2"], 1),
+                        (["tower", "--n", "3", "--k", "4"], 7)):
+        checks.clear()
+        status, report = run(["dg", argv[0], str(tmp_path / "x.json")]
+                             + argv[1:], stream=_io.StringIO())
+        assert status == 0
+        assert all(c["verdict"] == "PASS" for c in report["checks"])
+        assert len(checks) == built
+
+
 GOOD_COMPLEX = {"degrees": [0, 1], "ranks": [1, 1],
                 "boundaries": {"1": [[2]]}}
 

@@ -1,4 +1,5 @@
 from itertools import permutations
+from math import prod
 
 import pytest
 
@@ -559,6 +560,23 @@ def test_coherence_composite_p2_report_only():
     f, verdict = sys2.coherence_composite(2)
     assert isinstance(verdict, bool)
     assert not verdict
+    # the residue cone that the verdict reduces, and how it fails: by the
+    # long exact sequence, with H~_5 and H~_3 of the source zero,
+    # 0 -> H_5(P^2) -> H_5(cone) -> H_4(S2 /\ M) -> H_4(P^2) -> H_4(cone)
+    # -> 0 is exact, so equal orders in degree 5 and a product in degree 4
+    # make H~_4(S2 /\ M) -> H~_4(P^2) injective with cokernel Z/2
+    CS, CT, mats = dsx.chain_map_matrices(f)
+    R = CT.reduction()
+    cone = dsx.mapping_cone_complex(CS, R.residue, R.carry(mats))
+    groups = [dsx.homology(C) for C in (CS, CT, cone)]
+    assert [{k: str(g) for k, g in gs.items() if not g.is_trivial()}
+            for gs in groups] == [{4: "Z/2"}, {4: "Z/4", 5: "Z/2"},
+                                  {4: "Z/2", 5: "Z/2"}]
+    source, square, of_cone = [
+        {k: prod(g.torsion) for k, g in gs.items()} for gs in groups]
+    assert source.get(3, 1) == source.get(5, 1) == 1
+    assert square[5] == of_cone[5]
+    assert square[4] == source[4] * of_cone[4]
 
 
 def test_free_module_report_unit_case(moore3_p2):
